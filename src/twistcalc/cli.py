@@ -14,7 +14,7 @@ from .casson import CertificateError, twist_audit
 from .expansion import default_expansion, symplectic_defect
 from .diagrams import eta
 from .johnson import TwistEntry, tau2, tau3
-from .surface import BarcodeError, validate_barcode
+from .surface import BarcodeError, barcode_homology, validate_barcode
 from .tensor import DomainError, render
 
 EXIT_OK = 0
@@ -48,6 +48,8 @@ def parse_twist_file(text, g):
             validate_barcode(barcode, g)
         except BarcodeError as e:
             raise TwistFileError("line %d: %s" % (lineno, e))
+        if not barcode_homology(barcode, g).is_zero():
+            raise TwistFileError("line %d: barcode is not null-homologous" % lineno)
         entries.append(TwistEntry(coeff, genus, barcode))
     return entries
 

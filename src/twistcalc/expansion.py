@@ -16,7 +16,8 @@ from .surface import barcode_letters, boundary_barcode
 class SymplecticExpansion:
     """Log-values l(alpha_i), l(beta_i) of a symplectic expansion, 1-indexed.
 
-    Immutable; exponentials of the log-values are cached for evaluation.
+    Immutable; the exponentials of the log-values, the letter values theta
+    evaluates with, are cached once for every degree 1..trunc.
     """
 
     def __init__(self, g, trunc, log_alpha, log_beta):
@@ -24,13 +25,17 @@ class SymplecticExpansion:
         self.trunc = trunc
         self.log_alpha = list(log_alpha)
         self.log_beta = list(log_beta)
-        self._theta_pos = {}
-        self._theta_neg = {}
-        for i in range(1, g + 1):
-            self._theta_pos[(i, "a")] = T.exp_series(self.log_alpha[i - 1])
-            self._theta_neg[(i, "a")] = T.exp_series(-self.log_alpha[i - 1])
-            self._theta_pos[(i, "b")] = T.exp_series(self.log_beta[i - 1])
-            self._theta_neg[(i, "b")] = T.exp_series(-self.log_beta[i - 1])
+        full = {}
+        for idx, l in enumerate(self.log_alpha + self.log_beta, start=1):
+            full[idx, 1] = T.exp_series(l)
+            full[idx, -1] = T.exp_series(-l)
+        # Truncation to degree d is an algebra map, so the letter values at
+        # degree d are the full ones with their longer words dropped.
+        self._letters = {
+            d: {key: T.Tensor(g, d, t.terms) for key, t in full.items()}
+            for d in range(1, trunc)
+        }
+        self._letters[trunc] = full
 
     def log_value(self, idx):
         """Log-value for tensor generator index idx in 1..2g."""
@@ -38,9 +43,11 @@ class SymplecticExpansion:
             return self.log_alpha[idx - 1]
         return self.log_beta[idx - self.g - 1]
 
-    def letter_value(self, idx, sign):
-        key = (idx, "a") if idx <= self.g else (idx - self.g, "b")
-        return self._theta_pos[key] if sign > 0 else self._theta_neg[key]
+    def letter_values(self, degree):
+        """theta of each letter at the given degree, keyed by (index, sign)."""
+        if not 1 <= degree <= self.trunc:
+            raise T.DomainError("evaluation degree must be in 1..truncation degree")
+        return self._letters[degree]
 
 
 def default_expansion(g, trunc=5):
@@ -83,17 +90,23 @@ def default_expansion(g, trunc=5):
     return SymplecticExpansion(g, trunc, log_alpha, log_beta)
 
 
-def theta(exp, bc):
-    """Evaluate the expansion on a barcode: truncated product over letters."""
-    res = T.Tensor.one(exp.g, exp.trunc)
-    for idx, sign in barcode_letters(bc, exp.g):
-        res = T.product(res, exp.letter_value(idx, sign))
+def theta(exp, bc, degree=None):
+    """Evaluate the expansion on a barcode: truncated product over letters.
+
+    The product is taken at truncation ``degree`` (default exp.trunc), which
+    equals the full-degree theta with its words longer than ``degree`` dropped.
+    """
+    degree = exp.trunc if degree is None else degree
+    letters = exp.letter_values(degree)
+    res = T.Tensor.one(exp.g, degree)
+    for key in barcode_letters(bc, exp.g):
+        res = T.product(res, letters[key])
     return res
 
 
-def log_theta(exp, bc):
-    """log of theta; zero constant term."""
-    return T.log_series(theta(exp, bc))
+def log_theta(exp, bc, degree=None):
+    """log of theta at truncation ``degree`` (default exp.trunc); zero constant term."""
+    return T.log_series(theta(exp, bc, degree))
 
 
 def symplectic_defect(exp):

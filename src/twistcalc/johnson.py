@@ -1,7 +1,9 @@
 """Johnson homomorphisms of twist products via the Kawazumi-Kuno maps.
 
 L_k evaluates the degree-k part of (1/2) N(l(x)^2) on a null-homologous
-barcode; tau2 and tau3 sum L_4 / L_5 over a signed list of twists.
+barcode, reading l = log theta only through degree k-2 and pairing the
+symmetric summands N(l_i l_{k-i}) = N(l_{k-i} l_i); tau2 and tau3 sum
+L_4 / L_5 over a signed list of twists.
 Derivations wrap homogeneous tensors as Hom(H, .) maps through the
 duality x -> omega(x, -).
 """
@@ -34,19 +36,29 @@ class TwistEntry:
 def L_k(exp, bc, k):
     """Degree-k part of the Kawazumi-Kuno tensor for a null-homologous barcode.
 
-    Computed as (1/2) sum_{i=2}^{k-2} cyclicize(l_i * l_{k-i}) where l_i is
-    the degree-i part of log(theta(bc)).
+    The degree-k part of (1/2) N(l^2) is (1/2) sum_{i=2}^{k-2} N(l_i l_{k-i}),
+    where l_i is the degree-i part of l = log(theta(bc)); it reads l only
+    through degree k-2, so theta and log are evaluated at that degree.  As
+    N(xy) = N(yx) for homogeneous x, y, the summands i and k-i are paired:
+    L_k = sum_{2 <= i < k-i} N(l_i l_{k-i}) + [k even] (1/2) N(l_{k/2}^2).
     """
     if not 4 <= k <= exp.trunc:
         raise T.DomainError("L_k needs 4 <= k <= truncation degree")
-    l = log_theta(exp, bc)
-    if not T.extract(l, 1).is_zero():
+    l = log_theta(exp, bc, k - 2)
+    # Lift the homogeneous parts to the output truncation exp.trunc.
+    parts = [
+        T.Tensor(exp.g, exp.trunc, {w: c for w, c in l.terms.items() if len(w) == i})
+        for i in range(k - 1)
+    ]
+    if not parts[1].is_zero():
         raise T.DomainError("barcode is not null-homologous")
-    parts = [T.extract(l, i) for i in range(k - 1)]
     res = T.Tensor.zero(exp.g, exp.trunc)
-    for i in range(2, k - 1):
+    for i in range(2, (k + 1) // 2):
         res = res + T.cyclicize(T.product(parts[i], parts[k - i]))
-    return res.scale(Fraction(1, 2))
+    if k % 2 == 0:
+        half = parts[k // 2]
+        res = res + T.cyclicize(T.product(half, half)).scale(Fraction(1, 2))
+    return res
 
 
 def twist_sum(exp, twists, k):

@@ -53,7 +53,7 @@ def test_parse_skips_comments_and_blanks():
 
 @pytest.mark.parametrize(
     "line",
-    ["0 1 1 -2", "1 3 1 -2", "1 1 9", "1 1 0", "x 1 1", "1"],
+    ["0 1 1 -2", "1 3 1 -2", "1 1 9", "1 1 0", "x 1 1", "1", "1 1 1 -2"],
 )
 def test_parse_rejects_bad_records(line):
     with pytest.raises(TwistFileError):
@@ -105,10 +105,18 @@ def test_tau3_requires_certificate(tmp_path):
 
 def test_tau_parse_error_reports_line(tmp_path):
     path = tmp_path / "bad.txt"
-    path.write_text("1 1 1 -2\nnot numbers\n")
+    path.write_text("1 1 1 -2 -1 2\nnot numbers\n")
     code, _, err = run_cli("tau", "--level", "2", "--file", str(path))
     assert code == EXIT_USAGE
     assert "line 2" in err
+
+
+def test_non_bounding_barcode_reports_line(tmp_path):
+    path = tmp_path / "open.txt"
+    path.write_text("1 1 1 -2 -1 2\n1 1 1 -2\n")
+    code, _, err = run_cli("casson", "--file", str(path))
+    assert code == EXIT_USAGE
+    assert "line 2: barcode is not null-homologous" in err
 
 
 def test_casson_of_psi_file(psi_file):

@@ -77,6 +77,12 @@ def test_theta_degree_one_part(exp_g2):
     assert truncate(t, 1) == Tensor.one(2, 5) + Tensor.generator(2, 5, 1)
 
 
+@pytest.mark.parametrize("degree", [0, 6])
+def test_theta_rejects_degree_outside_truncation(exp_g2, degree):
+    with pytest.raises(DomainError):
+        theta(exp_g2, (1,), degree)
+
+
 def test_theta_of_inverse_pair(exp_g2):
     assert theta(exp_g2, (1, -1)) == Tensor.one(2, 5)
 

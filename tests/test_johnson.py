@@ -4,6 +4,7 @@ import pytest
 
 from conftest import random_null_homologous_barcode, rng_for
 from twistcalc.diagrams import eta, morita_tau2, odot
+from twistcalc.expansion import default_expansion, theta
 from twistcalc.johnson import (
     Derivation,
     L_k,
@@ -15,7 +16,16 @@ from twistcalc.johnson import (
     tau3,
 )
 from twistcalc.surface import HVector, commutator_barcode, inverse_barcode
-from twistcalc.tensor import DomainError, Tensor, bracket, extract
+from twistcalc.psi_data import load_psi
+from twistcalc.tensor import (
+    DomainError,
+    Tensor,
+    bracket,
+    cyclicize,
+    extract,
+    log_series,
+    product,
+)
 
 G = 2
 N = 5
@@ -62,6 +72,36 @@ def test_L_k_conjugacy_and_inversion_invariance(exp_g2):
             ref = L_k(exp_g2, bc, k)
             assert L_k(exp_g2, rotated, k) == ref
             assert L_k(exp_g2, inverse_barcode(bc), k) == ref
+
+
+def full_degree_L_k(exp, bc):
+    """{k: L_k} for k in (4, 5) by the formula (1/2) sum_{i=2}^{k-2} N(l_i l_{k-i}),
+    with l = log theta(bc) at the full truncation degree."""
+    l = log_series(theta(exp, bc))
+    res = {}
+    for k in (4, 5):
+        total = Tensor.zero(exp.g, exp.trunc)
+        for i in range(2, k - 1):
+            total = total + cyclicize(product(extract(l, i), extract(l, k - i)))
+        res[k] = total.scale(Fraction(1, 2))
+    return res
+
+
+@pytest.mark.parametrize("g, count", [(1, 8), (2, 6), (3, 3)])
+def test_L_k_matches_full_degree_formula(g, count):
+    exp = default_expansion(g, N)
+    rng = rng_for("full-degree-%d" % g)
+    barcodes = [random_null_homologous_barcode(rng, g) for _ in range(count)]
+    if g == G:
+        barcodes += [tw.barcode for tw in load_psi()]
+    for bc in barcodes:
+        full = theta(exp, bc)
+        for d in range(1, N + 1):
+            truncated = {w: c for w, c in full.terms.items() if len(w) <= d}
+            assert theta(exp, bc, d) == Tensor(g, d, truncated)
+        expected = full_degree_L_k(exp, bc)
+        for k in (4, 5):
+            assert L_k(exp, bc, k) == expected[k]
 
 
 def test_L_k_rejects_non_null_homologous(exp_g2):
@@ -174,8 +214,6 @@ def test_derivation_bracket_degree_overflow(exp_g2):
 
 
 def test_L_derivations_annihilate_omega_tilde(exp_g2):
-    from twistcalc.psi_data import load_psi
-
     target = omega_tilde()
     for tw in load_psi():
         for k in (4, 5):
