@@ -20,10 +20,8 @@ from .surface import (
     BarcodeError,
     HVector,
     barcode_homology,
-    barcode_to_word,
     boundary_barcode,
     commutator_barcode,
-    conjugate_barcode,
     free_reduce,
     omega,
 )
@@ -33,7 +31,6 @@ from .johnson import (
     L_k,
     TwistEntry,
     apply_derivation,
-    as_derivation,
     derivation_bracket,
     tau2,
     tau3,

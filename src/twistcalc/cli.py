@@ -10,11 +10,11 @@ import argparse
 import sys
 
 from . import psi_data as P
-from .casson import CertificateError, twist_audit
+from .casson import twist_audit
 from .expansion import default_expansion, symplectic_defect
 from .diagrams import eta
 from .johnson import TwistEntry, tau2, tau3
-from .surface import BarcodeError, barcode_homology, validate_barcode
+from .surface import BarcodeError, barcode_homology
 from .tensor import DomainError, render
 
 EXIT_OK = 0
@@ -39,18 +39,14 @@ def parse_twist_file(text, g):
             raise TwistFileError("line %d: fields must be signed integers" % lineno)
         if len(fields) < 2:
             raise TwistFileError("line %d: expected 'coeff genus k1 ... kn'" % lineno)
-        coeff, genus, barcode = fields[0], fields[1], tuple(fields[2:])
-        if coeff == 0:
-            raise TwistFileError("line %d: coefficient must be nonzero" % lineno)
-        if genus not in (1, 2):
-            raise TwistFileError("line %d: genus must be 1 or 2" % lineno)
         try:
-            validate_barcode(barcode, g)
-        except BarcodeError as e:
+            entry = TwistEntry(fields[0], fields[1], fields[2:])
+            bounding = barcode_homology(entry.barcode, g).is_zero()
+        except (BarcodeError, DomainError) as e:
             raise TwistFileError("line %d: %s" % (lineno, e))
-        if not barcode_homology(barcode, g).is_zero():
+        if not bounding:
             raise TwistFileError("line %d: barcode is not null-homologous" % lineno)
-        entries.append(TwistEntry(coeff, genus, barcode))
+        entries.append(entry)
     return entries
 
 
@@ -133,14 +129,11 @@ def cmd_export_psi(args):
     return EXIT_OK
 
 
-def verify_psi_checks(corrupt=False):
+def verify_psi_checks():
     """Run the full reproduction; yields (name, passed, detail) triples."""
     trunc = 5
     exp = default_expansion(2, trunc)
     entries = P.psi_twist_entries()
-    if corrupt:
-        head = entries[0]
-        entries = [TwistEntry(head.coeff + 1, head.genus, head.barcode)] + entries[1:]
 
     t2 = tau2(exp, entries)
     yield "tau2_psi_vanishes", t2.is_zero(), render(t2)
@@ -175,7 +168,7 @@ def verify_psi_checks(corrupt=False):
 
 def cmd_verify_psi(args):
     all_ok = True
-    for name, ok, detail in verify_psi_checks(corrupt=args.corrupt):
+    for name, ok, detail in verify_psi_checks():
         print("%-28s %s" % (name, "PASS" if ok else "FAIL"))
         if not ok:
             all_ok = False
@@ -217,11 +210,6 @@ def build_parser():
     p.set_defaults(func=cmd_export_psi)
 
     p = sub.add_parser("verify-psi", help="run the full reproduction pipeline")
-    p.add_argument(
-        "--corrupt",
-        action="store_true",
-        help=argparse.SUPPRESS,  # perturb a coefficient; for failure-path testing
-    )
     p.set_defaults(func=cmd_verify_psi)
 
     return parser

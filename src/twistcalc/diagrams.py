@@ -76,7 +76,10 @@ class OdotSymbol:
 
 
 class DiagramSum:
-    """Finitely supported rational combination of trees and odot symbols."""
+    """Finitely supported rational combination of trees and odot symbols.
+
+    The constructor drops zero coefficients.
+    """
 
     __slots__ = ("items",)
 
@@ -95,11 +98,7 @@ class DiagramSum:
     def __add__(self, other):
         items = dict(self.items)
         for node, coeff in other.items.items():
-            c = items.get(node, Fraction(0)) + coeff
-            if c == 0:
-                items.pop(node, None)
-            else:
-                items[node] = c
+            items[node] = items.get(node, 0) + coeff
         return DiagramSum(items)
 
     def __neg__(self):

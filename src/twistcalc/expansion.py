@@ -37,12 +37,6 @@ class SymplecticExpansion:
         }
         self._letters[trunc] = full
 
-    def log_value(self, idx):
-        """Log-value for tensor generator index idx in 1..2g."""
-        if idx <= self.g:
-            return self.log_alpha[idx - 1]
-        return self.log_beta[idx - self.g - 1]
-
     def letter_values(self, degree):
         """theta of each letter at the given degree, keyed by (index, sign)."""
         if not 1 <= degree <= self.trunc:

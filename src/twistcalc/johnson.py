@@ -106,11 +106,7 @@ class Derivation:
             else:
                 target, sign = first - g, -1
             acc = images[target]
-            c = acc.get(rest, Fraction(0)) + sign * coeff
-            if c == 0:
-                acc.pop(rest, None)
-            else:
-                acc[rest] = c
+            acc[rest] = acc.get(rest, 0) + sign * coeff
         object.__setattr__(
             self, "images", {idx: T.Tensor(g, trunc, ws) for idx, ws in images.items()}
         )
@@ -127,11 +123,6 @@ class Derivation:
         return self.degree == other.degree and self.tensor == other.tensor
 
 
-def as_derivation(t, k):
-    """Wrap a homogeneous degree-(k+2) tensor as a degree-k derivation."""
-    return Derivation(t, k)
-
-
 def apply_derivation(d, t):
     """Extend d to tensors by the Leibniz rule, summing over letter positions."""
     g, trunc = t.g, t.trunc
@@ -143,11 +134,7 @@ def apply_derivation(d, t):
                 w = word[:pos] + iw + word[pos + 1 :]
                 if len(w) > trunc:
                     continue
-                c = terms.get(w, Fraction(0)) + coeff * ic
-                if c == 0:
-                    terms.pop(w, None)
-                else:
-                    terms[w] = c
+                terms[w] = terms.get(w, 0) + coeff * ic
     return T.Tensor(g, trunc, terms)
 
 
@@ -160,11 +147,7 @@ def derivation_tensor_from_map(g, trunc, f):
                 w = (first,) + iw
                 if len(w) > trunc:
                     continue
-                c = terms.get(w, Fraction(0)) + sign * ic
-                if c == 0:
-                    terms.pop(w, None)
-                else:
-                    terms[w] = c
+                terms[w] = terms.get(w, 0) + sign * ic
     return T.Tensor(g, trunc, terms)
 
 

@@ -1,9 +1,10 @@
 """The embedded genus-2 dataset: the 16-twist element psi and its expected values.
 
-Each twist is a signed Dehn twist along a bounding simple closed curve,
-encoded by a barcode built from commutator/conjugation words; the spine
-field records the two sub-words whose homology classes give a symplectic
-basis of the bounded subsurface.
+Each twist is a signed Dehn twist along a bounding simple closed curve, and
+the table stores only its name, exponent and spine: the pairs (u, v) of
+sub-barcodes whose homology classes give a symplectic basis of the bounded
+subsurface.  The twist's barcode is derived from the spine as the product of
+the commutators u v u^-1 v^-1, and its genus as the number of pairs.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from fractions import Fraction
 
 from . import diagrams as D
 from .diagrams import odot, tree
-from .johnson import TwistEntry, as_derivation, derivation_bracket
+from .johnson import Derivation, TwistEntry, derivation_bracket
 from .surface import HVector, barcode_homology, commutator_barcode, omega
 from .tensor import DomainError, extract
 
@@ -24,97 +25,53 @@ GENUS = 2
 class PsiTwist:
     name: str
     coeff: int
-    genus: int
-    barcode: tuple
     spine: tuple  # pairs of sub-barcodes spanning the bounded subsurface
+
+    @property
+    def barcode(self):
+        return sum((commutator_barcode(u, v) for u, v in self.spine), ())
+
+    @property
+    def genus(self):
+        return len(self.spine)
 
     def entry(self):
         return TwistEntry(self.coeff, self.genus, self.barcode)
 
 
-def _brack(a, b):
-    return commutator_barcode(a, b)
+# [alpha_1, beta_1^-1], the s1 curve, and its inverse [beta_1^-1, alpha_1]:
+# sub-words of several spines.
+_C = commutator_barcode((1,), (-2,))
+_C_INV = commutator_barcode((-2,), (1,))
 
-
-def _bra(a, b):
-    return commutator_barcode(a, b)
-
-
-def _twists():
-    gamma2 = _brack([3], [-4]) + _brack([1], [-2])
-    t1 = _bra(_brack([-2], [1]) + (-4, 1), [-2])
-    t2 = _bra([1], [-4, 3, 4, -2])
-    t3 = _bra([1], (-4, -3, 4) + _brack([1], [-2]) + (-2,))
-    t4 = _bra([3], [-1, -4])
-    t5 = _bra([1], [-4, -3, -2])
-    t6 = _bra([3], [-2, -1, -4])
-    t7 = _bra((-3, 4) + _brack([1], [-2]) + (-2, -1, -4), [4])
-    t8 = _bra([3, 4, 1], [-2])
-    t9 = _bra([1], [-4, -2])
-    t10 = _bra((-4, -3, 4) + _brack([1], [-2]) + (-2,), [4])
-    t11 = _bra(_brack([-2], [1]) + (-4, 3, 4, 1), [-2])
-    t12 = _bra(
-        (1, -4, -3, 4)
-        + _brack([1], [-2])
-        + (4, 1)
-        + _brack([-2], [1])
-        + (-4, 3, 4),
-        (-4, -3, 4) + _brack([1], [-2]) + (-2,),
-    )
-    t13 = _bra((-4, -3, 4) + _brack([1], [-2]) + (-2, -1), [1, 2, 4])
-    s1 = _brack([1], [-2])
-    s2 = _brack([3], [-4])
-
-    spines = {
-        "gamma2": (((3,), (-4,)), ((1,), (-2,))),
-        "t1": ((_brack([-2], [1]) + (-4, 1), (-2,)),),
-        "t2": (((1,), (-4, 3, 4, -2)),),
-        "t3": (((1,), (-4, -3, 4) + _brack([1], [-2]) + (-2,)),),
-        "t4": (((3,), (-1, -4)),),
-        "t5": (((1,), (-4, -3, -2)),),
-        "t6": (((3,), (-2, -1, -4)),),
-        "t7": (((-3, 4) + _brack([1], [-2]) + (-2, -1, -4), (4,)),),
-        "t8": (((3, 4, 1), (-2,)),),
-        "t9": (((1,), (-4, -2)),),
-        "t10": (((-4, -3, 4) + _brack([1], [-2]) + (-2,), (4,)),),
-        "t11": ((_brack([-2], [1]) + (-4, 3, 4, 1), (-2,)),),
-        "t12": (
+# The twists of psi in the published order.
+_PSI = (
+    PsiTwist("gamma2", -3, (((3,), (-4,)), ((1,), (-2,)))),
+    PsiTwist("t1", -1, ((_C_INV + (-4, 1), (-2,)),)),
+    PsiTwist("t2", -1, (((1,), (-4, 3, 4, -2)),)),
+    PsiTwist("t3", 2, (((1,), (-4, -3, 4) + _C + (-2,)),)),
+    PsiTwist("t4", 2, (((3,), (-1, -4)),)),
+    PsiTwist("t5", 1, (((1,), (-4, -3, -2)),)),
+    PsiTwist("t6", -1, (((3,), (-2, -1, -4)),)),
+    PsiTwist("t7", -1, (((-3, 4) + _C + (-2, -1, -4), (4,)),)),
+    PsiTwist("t8", 1, (((3, 4, 1), (-2,)),)),
+    PsiTwist("t9", -1, (((1,), (-4, -2)),)),
+    PsiTwist("t10", 1, (((-4, -3, 4) + _C + (-2,), (4,)),)),
+    PsiTwist("t11", -1, ((_C_INV + (-4, 3, 4, 1), (-2,)),)),
+    PsiTwist(
+        "t12",
+        -1,
+        (
             (
-                (1, -4, -3, 4)
-                + _brack([1], [-2])
-                + (4, 1)
-                + _brack([-2], [1])
-                + (-4, 3, 4),
-                (-4, -3, 4) + _brack([1], [-2]) + (-2,),
+                (1, -4, -3, 4) + _C + (4, 1) + _C_INV + (-4, 3, 4),
+                (-4, -3, 4) + _C + (-2,),
             ),
         ),
-        "t13": (((-4, -3, 4) + _brack([1], [-2]) + (-2, -1), (1, 2, 4)),),
-        "s1": (((1,), (-2,)),),
-        "s2": (((3,), (-4,)),),
-    }
-    barcodes = {
-        "gamma2": gamma2,
-        "t1": t1, "t2": t2, "t3": t3, "t4": t4, "t5": t5, "t6": t6, "t7": t7,
-        "t8": t8, "t9": t9, "t10": t10, "t11": t11, "t12": t12, "t13": t13,
-        "s1": s1, "s2": s2,
-    }
-    coeffs = {
-        "gamma2": -3,
-        "t1": -1, "t2": -1, "t3": 2, "t4": 2, "t5": 1, "t6": -1, "t7": -1,
-        "t8": 1, "t9": -1, "t10": 1, "t11": -1, "t12": -1, "t13": 1,
-        "s1": 7, "s2": 2,
-    }
-    order = ["gamma2"] + ["t%d" % i for i in range(1, 14)] + ["s1", "s2"]
-    return tuple(
-        PsiTwist(
-            name=name,
-            coeff=coeffs[name],
-            genus=2 if name == "gamma2" else 1,
-            barcode=barcodes[name],
-            spine=spines[name],
-        )
-        for name in order
-    )
+    ),
+    PsiTwist("t13", 1, (((-4, -3, 4) + _C + (-2, -1), (1, 2, 4)),)),
+    PsiTwist("s1", 7, (((1,), (-2,)),)),
+    PsiTwist("s2", 2, (((3,), (-4,)),)),
+)
 
 
 # The simpler alternative barcode for the t7 curve (same free-group element
@@ -122,14 +79,7 @@ def _twists():
 T7_ALTERNATIVE_BARCODE = (-3, 4, 1, -2, -1, -1, 4, 1, 1, 2, -1, -4, 3, -4)
 
 
-def _hv(*coords):
-    return HVector(coords)
-
-
-A1 = _hv(1, 0, 0, 0)
-A2 = _hv(0, 1, 0, 0)
-B1 = _hv(0, 0, 1, 0)
-B2 = _hv(0, 0, 0, 1)
+A1, A2, B1, B2 = (HVector.basis(GENUS, i) for i in range(1, 2 * GENUS + 1))
 
 
 def expected_tau3():
@@ -227,27 +177,24 @@ def bracket_decomposition_value(trunc=5):
     derivations; the five summands follow the published decomposition.
     """
     def d1(ds):
-        return as_derivation(extract(D.eta(ds, trunc), 3), 1)
+        return Derivation(extract(D.eta(ds, trunc), 3), 1)
 
     def d2(ds):
-        return as_derivation(extract(D.eta(ds, trunc), 4), 2)
+        return Derivation(extract(D.eta(ds, trunc), 4), 2)
 
-    def br(x, y):
-        return derivation_bracket(x, y)
-
-    term1 = br(
+    term1 = derivation_bracket(
         d1(tree(A1, B1, A2).scale(3) + tree(B2, A2, A1) + tree(A1, B1, B2)),
         d2(tree(A1, B1, A2, B2)),
     )
-    term2 = br(d1(tree(B1, A1, A2 - B2)), d2(tree(A1, A2, B2, A1)))
-    term3 = br(d1(tree(A2, B2, A1)), d2(tree(A2, B1, A1, A2)))
-    term4 = br(
+    term2 = derivation_bracket(d1(tree(B1, A1, A2 - B2)), d2(tree(A1, A2, B2, A1)))
+    term3 = derivation_bracket(d1(tree(A2, B2, A1)), d2(tree(A2, B1, A1, A2)))
+    term4 = derivation_bracket(
         d1(tree(A1, B1, A2)),
-        br(d1(tree(A1, B1, B2)), d1(tree(A1 - B1, A2, B2))),
+        derivation_bracket(d1(tree(A1, B1, B2)), d1(tree(A1 - B1, A2, B2))),
     )
-    term5 = br(
+    term5 = derivation_bracket(
         d1(tree(B1, A2, B2)),
-        br(d1(tree(A1, B2, A2)), d1(tree(A1, B1, B2))),
+        derivation_bracket(d1(tree(A1, B2, A2)), d1(tree(A1, B1, B2))),
     )
     return (
         term1.tensor + term2.tensor + term3.tensor + term4.tensor + term5.tensor
@@ -271,7 +218,7 @@ def spine_pairs(twist):
 
 def load_psi():
     """The 16 twists defining psi, in the published order."""
-    return _twists()
+    return _PSI
 
 
 def psi_twist_entries():

@@ -91,24 +91,12 @@ def validate_barcode(bc, g=None):
     return tuple(bc)
 
 
-def barcode_to_word(bc, g=None):
-    """Decode a barcode to a list of (generator name, sign) pairs.
-
-    Entry +-(2i-1) maps to ('a<i>', +-1) for alpha_i, entry +-2i to
-    ('b<i>', +-1) for beta_i.
-    """
-    bc = validate_barcode(bc, g)
-    word = []
-    for k in bc:
-        sign = 1 if k > 0 else -1
-        m = abs(k)
-        name = "a%d" % ((m + 1) // 2) if m % 2 == 1 else "b%d" % (m // 2)
-        word.append((name, sign))
-    return word
-
-
 def barcode_letters(bc, g):
-    """Decode a barcode to (tensor generator index, sign) pairs for genus g."""
+    """Decode a barcode to (tensor generator index, sign) pairs for genus g.
+
+    The one decoder of the barcode alphabet: +-(2i-1) becomes (i, +-1) for
+    alpha_i and +-2i becomes (g+i, +-1) for beta_i.
+    """
     bc = validate_barcode(bc, g)
     letters = []
     for k in bc:
@@ -121,16 +109,6 @@ def barcode_letters(bc, g):
     return letters
 
 
-def barcode_string(bc):
-    """Render a barcode as 'a1+b1-...' matching the alpha/beta naming."""
-    out = []
-    for k in validate_barcode(bc):
-        m = abs(k)
-        name = "a%d" % ((m + 1) // 2) if m % 2 == 1 else "b%d" % (m // 2)
-        out.append(name + ("+" if k > 0 else "-"))
-    return "".join(out)
-
-
 def inverse_barcode(bc):
     """The reversed, negated barcode, representing the inverse word."""
     return tuple(-k for k in reversed(bc))
@@ -141,11 +119,6 @@ def commutator_barcode(u, v):
     u = validate_barcode(u)
     v = validate_barcode(v)
     return u + v + inverse_barcode(u) + inverse_barcode(v)
-
-
-def conjugate_barcode(u, v):
-    """u v ubar vbar where xbar is x reversed and negated."""
-    return commutator_barcode(u, v)
 
 
 def boundary_barcode(g):

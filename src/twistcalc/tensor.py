@@ -24,7 +24,8 @@ class Tensor:
     """Element of the free algebra on 2g generators, truncated at degree ``trunc``.
 
     Immutable after construction. ``terms`` maps words (tuples of generator
-    indices in 1..2g) to nonzero Fractions.
+    indices in 1..2g) to nonzero Fractions; the constructor drops zero
+    coefficients and overlong words, so callers pass raw accumulated sums.
     """
 
     __slots__ = ("g", "trunc", "terms")
@@ -102,11 +103,7 @@ class Tensor:
         self._check_compatible(other)
         terms = dict(self.terms)
         for word, coeff in other.terms.items():
-            c = terms.get(word, Fraction(0)) + coeff
-            if c == 0:
-                terms.pop(word, None)
-            else:
-                terms[word] = c
+            terms[word] = terms.get(word, 0) + coeff
         return Tensor(self.g, self.trunc, terms)
 
     def __neg__(self):
@@ -143,11 +140,7 @@ def product(x, y):
             if len(wy) > room:
                 continue
             w = wx + wy
-            c = terms.get(w, Fraction(0)) + cx * cy
-            if c == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = c
+            terms[w] = terms.get(w, 0) + cx * cy
     return Tensor(x.g, trunc, terms)
 
 
@@ -167,11 +160,7 @@ def cyclicize(x):
     for word, coeff in x.terms.items():
         for i in range(len(word)):
             w = word[i:] + word[:i]
-            c = terms.get(w, Fraction(0)) + coeff
-            if c == 0:
-                terms.pop(w, None)
-            else:
-                terms[w] = c
+            terms[w] = terms.get(w, 0) + coeff
     return Tensor(x.g, x.trunc, terms)
 
 

@@ -12,7 +12,9 @@ from twistcalc.cli import (
     main,
     parse_twist_file,
 )
+from twistcalc import psi_data
 from twistcalc.diagrams import eta
+from twistcalc.johnson import TwistEntry
 from twistcalc.psi_data import expected_tau3, psi_twist_entries
 from twistcalc.tensor import extract, render
 
@@ -56,7 +58,7 @@ def test_parse_skips_comments_and_blanks():
     ["0 1 1 -2", "1 3 1 -2", "1 1 9", "1 1 0", "x 1 1", "1", "1 1 1 -2"],
 )
 def test_parse_rejects_bad_records(line):
-    with pytest.raises(TwistFileError):
+    with pytest.raises(TwistFileError, match=r"^line 1: "):
         parse_twist_file(line, 2)
 
 
@@ -161,10 +163,14 @@ def test_verify_psi_passes():
     assert out.count("PASS") == 7
 
 
-def test_verify_psi_corrupted_fails_on_tau2():
-    code, out, _ = run_cli("verify-psi", "--corrupt")
+def test_verify_psi_corrupted_fails_on_tau2(monkeypatch):
+    head, *rest = psi_twist_entries()
+    perturbed = [TwistEntry(head.coeff + 1, head.genus, head.barcode)] + rest
+    monkeypatch.setattr(psi_data, "psi_twist_entries", lambda: perturbed)
+    code, out, _ = run_cli("verify-psi")
     assert code == EXIT_MISMATCH
     assert "tau2_psi_vanishes            FAIL" in out
+    assert "  difference: " in out
 
 
 def test_output_is_deterministic(psi_file):

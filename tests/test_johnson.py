@@ -10,7 +10,6 @@ from twistcalc.johnson import (
     L_k,
     TwistEntry,
     apply_derivation,
-    as_derivation,
     derivation_bracket,
     tau2,
     tau3,
@@ -136,25 +135,25 @@ def test_tau2_of_empty_list(exp_g2):
 # -- derivations ----------------------------------------------------------
 
 
-def test_as_derivation_requires_homogeneous():
+def test_derivation_requires_homogeneous():
     t = words({(1, 3, 3): 1, (1, 3): 1})
     with pytest.raises(DomainError):
-        as_derivation(t, 1)
+        Derivation(t, 1)
 
 
 def test_derivation_pairing_convention():
-    d = as_derivation(words({(1, 3, 3): 1}), 1)  # a1 (x) b1 b1
+    d = Derivation(words({(1, 3, 3): 1}), 1)  # a1 (x) b1 b1
     assert apply_derivation(d, Tensor.generator(G, N, 3)) == words({(3, 3): 1})
     assert apply_derivation(d, Tensor.generator(G, N, 1)).is_zero()
 
 
 def test_derivation_of_zero():
-    d = as_derivation(Tensor.zero(G, N), 1)
+    d = Derivation(Tensor.zero(G, N), 1)
     assert apply_derivation(d, Tensor.generator(G, N, 1)).is_zero()
 
 
 def test_derivation_kills_constants():
-    d = as_derivation(words({(1, 3, 3): 1}), 1)
+    d = Derivation(words({(1, 3, 3): 1}), 1)
     assert apply_derivation(d, Tensor.one(G, N)).is_zero()
 
 
@@ -163,7 +162,7 @@ def test_derivation_leibniz():
     gens = [Tensor.generator(G, N, i) for i in range(1, 2 * G + 1)]
     for _ in range(20):
         t = words({(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)): Fraction(rng.randint(-3, 3))})
-        d = as_derivation(t, 1)
+        d = Derivation(t, 1)
         x = rng.choice(gens) + rng.choice(gens)
         y = rng.choice(gens) * rng.choice(gens)
         assert apply_derivation(d, x * y) == apply_derivation(d, x) * y + x * apply_derivation(d, y)
@@ -171,10 +170,10 @@ def test_derivation_leibniz():
 
 def test_derivation_round_trip(exp_g2):
     t = L_k(exp_g2, GAMMA2, 4)
-    assert as_derivation(t, 2).tensor == t
+    assert Derivation(t, 2).tensor == t
     from twistcalc.johnson import derivation_tensor_from_map
 
-    d = as_derivation(t, 2)
+    d = Derivation(t, 2)
     rebuilt = derivation_tensor_from_map(G, N, d.of_generator)
     assert rebuilt == t
 
@@ -182,7 +181,7 @@ def test_derivation_round_trip(exp_g2):
 def test_derivation_bracket_self_is_zero():
     rng = rng_for("selfbr")
     t = words({(1, 3, 4): 2, (2, 1, 3): -1})
-    d = as_derivation(t, 1)
+    d = Derivation(t, 1)
     assert derivation_bracket(d, d).tensor.is_zero()
 
 
@@ -194,7 +193,7 @@ def test_derivation_bracket_antisymmetry_and_jacobi():
         for _ in range(3):
             w = tuple(rng.randint(1, 4) for _ in range(3))
             terms[w] = terms.get(w, 0) + rng.randint(-2, 2)
-        return as_derivation(words(terms), 1)
+        return Derivation(words(terms), 1)
 
     for _ in range(10):
         d1, d2, d3 = rand_d(), rand_d(), rand_d()
@@ -208,7 +207,7 @@ def test_derivation_bracket_antisymmetry_and_jacobi():
 
 
 def test_derivation_bracket_degree_overflow(exp_g2):
-    d2 = as_derivation(L_k(exp_g2, S1, 4), 2)
+    d2 = Derivation(L_k(exp_g2, S1, 4), 2)
     with pytest.raises(DomainError):
         derivation_bracket(d2, d2)
 
@@ -217,5 +216,5 @@ def test_L_derivations_annihilate_omega_tilde(exp_g2):
     target = omega_tilde()
     for tw in load_psi():
         for k in (4, 5):
-            d = as_derivation(L_k(exp_g2, tw.barcode, k), k - 2)
+            d = Derivation(L_k(exp_g2, tw.barcode, k), k - 2)
             assert apply_derivation(d, target).is_zero()

@@ -1,3 +1,5 @@
+import pytest
+
 from twistcalc.expansion import log_theta
 from twistcalc.johnson import L_k
 from twistcalc.psi_data import (
@@ -30,12 +32,50 @@ def test_signed_genus_counts():
     assert sum(t.coeff for t in twists if t.genus == 2) == -3
 
 
-def test_gamma2_barcode():
-    assert load_psi()[0].barcode == (3, -4, -3, 4, 1, -2, -1, 2)
+# name: (coeff, genus, barcode) of every twist, in the published order.
+GOLDEN = {
+    "gamma2": (-3, 2, (3, -4, -3, 4, 1, -2, -1, 2)),
+    "t1": (-1, 1, (-2, 1, 2, -1, -4, 1, -2, -1, 4, 1, -2, -1, 2, 2)),
+    "t2": (-1, 1, (1, -4, 3, 4, -2, -1, 2, -4, -3, 4)),
+    "t3": (2, 1, (1, -4, -3, 4, 1, -2, -1, 2, -2, -1, 2, -2, 1, 2, -1, -4, 3, 4)),
+    "t4": (2, 1, (3, -1, -4, -3, 4, 1)),
+    "t5": (1, 1, (1, -4, -3, -2, -1, 2, 3, 4)),
+    "t6": (-1, 1, (3, -2, -1, -4, -3, 4, 1, 2)),
+    "t7": (
+        -1,
+        1,
+        (-3, 4, 1, -2, -1, 2, -2, -1, -4, 4, 4, 1, 2, -2, 1, 2, -1, -4, 3, -4),
+    ),
+    "t8": (1, 1, (3, 4, 1, -2, -1, -4, -3, 2)),
+    "t9": (-1, 1, (1, -4, -2, -1, 2, 4)),
+    "t10": (1, 1, (-4, -3, 4, 1, -2, -1, 2, -2, 4, 2, -2, 1, 2, -1, -4, 3, 4, -4)),
+    "t11": (-1, 1, (-2, 1, 2, -1, -4, 3, 4, 1, -2, -1, -4, -3, 4, 1, -2, -1, 2, 2)),
+    "t12": (
+        -1,
+        1,
+        (
+            1, -4, -3, 4, 1, -2, -1, 2, 4, 1, -2, 1, 2, -1, -4, 3, 4, -4, -3, 4,
+            1, -2, -1, 2, -2, -4, -3, 4, 1, -2, -1, 2, -1, -4, -2, 1, 2, -1, -4, 3,
+            4, -1, 2, -2, 1, 2, -1, -4, 3, 4,
+        ),
+    ),
+    "t13": (
+        1,
+        1,
+        (-4, -3, 4, 1, -2, -1, 2, -2, -1, 1, 2, 4, 1, 2, -2, 1, 2, -1, -4, 3, 4, -4, -2, -1),
+    ),
+    "s1": (7, 1, (1, -2, -1, 2)),
+    "s2": (2, 1, (3, -4, -3, 4)),
+}
 
 
-def test_s1_barcode():
-    assert load_psi()[14].barcode == (1, -2, -1, 2)
+@pytest.mark.parametrize("name", list(GOLDEN))
+def test_twist_barcode(name):
+    tw = next(t for t in load_psi() if t.name == name)
+    coeff, genus, barcode = GOLDEN[name]
+    assert tw.barcode == barcode
+    assert tw.coeff == coeff
+    assert tw.genus == genus == len(tw.spine)
 
 
 def test_all_barcodes_null_homologous(exp_g2):

@@ -5,15 +5,15 @@ from twistcalc.surface import (
     BarcodeError,
     HVector,
     barcode_homology,
-    barcode_to_word,
+    barcode_letters,
     boundary_barcode,
     commutator_barcode,
-    conjugate_barcode,
     format_barcode,
     free_reduce,
     inverse_barcode,
     omega,
     parse_barcode,
+    validate_barcode,
 )
 
 G = 2
@@ -62,26 +62,29 @@ def test_omega_length_mismatch():
 # -- barcodes -----------------------------------------------------------
 
 
-def test_barcode_to_word_example():
-    assert barcode_to_word([1, -2, 3]) == [("a1", 1), ("b1", -1), ("a2", 1)]
+# Generator indices at genus 2: a1 = 1, a2 = 2, b1 = 3, b2 = 4.
 
 
-def test_barcode_to_word_empty():
-    assert barcode_to_word([]) == []
+def test_barcode_letters_example():
+    assert barcode_letters([1, -2, 3], G) == [(1, 1), (3, -1), (2, 1)]
 
 
-def test_barcode_to_word_beta_inverse():
-    assert barcode_to_word([-4]) == [("b2", -1)]
+def test_barcode_letters_empty():
+    assert barcode_letters([], G) == []
+
+
+def test_barcode_letters_beta_inverse():
+    assert barcode_letters([-4], G) == [(4, -1)]
 
 
 def test_barcode_rejects_zero_entry():
     with pytest.raises(BarcodeError):
-        barcode_to_word([1, 0, 2])
+        validate_barcode([1, 0, 2])
 
 
 def test_barcode_rejects_out_of_range():
     with pytest.raises(BarcodeError):
-        barcode_to_word([5], g=2)
+        barcode_letters([5], 2)
 
 
 def test_commutator_barcode():
@@ -91,18 +94,14 @@ def test_commutator_barcode():
 
 def test_conjugation_word():
     # u v ubar vbar with ubar the reversed, negated block
-    assert conjugate_barcode([3], [-1, -4]) == (3, -1, -4, -3, 4, 1)
+    assert commutator_barcode([3], [-1, -4]) == (3, -1, -4, -3, 4, 1)
 
 
 def test_boundary_barcode():
     assert boundary_barcode(1) == (-2, 1, 2, -1)
     assert boundary_barcode(2) == (-2, 1, 2, -1, -4, 3, 4, -3)
-    assert barcode_to_word(boundary_barcode(1)) == [
-        ("b1", -1),
-        ("a1", 1),
-        ("b1", 1),
-        ("a1", -1),
-    ]
+    # at genus 1: a1 = 1, b1 = 2
+    assert barcode_letters(boundary_barcode(1), 1) == [(2, -1), (1, 1), (2, 1), (1, -1)]
 
 
 # -- free reduction ------------------------------------------------------
