@@ -13,7 +13,6 @@ from .tensor import (
     log_series,
     product,
     render,
-    top_degree,
     truncate,
 )
 from .surface import (
@@ -27,7 +26,6 @@ from .surface import (
 )
 from .expansion import SymplecticExpansion, default_expansion, log_theta, symplectic_defect, theta
 from .johnson import (
-    Derivation,
     L_k,
     TwistEntry,
     apply_derivation,

@@ -15,6 +15,7 @@ and a (.) b ("odot", half of the symmetric degree-2 tree) to
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import tensor as T
 from .surface import omega
@@ -204,42 +205,29 @@ def morita_tau2(pairs):
 # -- the mod-3 map kappa ------------------------------------------------
 
 
+def _det(m):
+    """Integer determinant by Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
 def _wedge4(vectors):
-    """Multilinear expansion of v1 ^ v2 ^ v3 ^ v4 over Z/3, keyed by index 4-sets."""
-    n = len(vectors[0])
+    """v1 ^ v2 ^ v3 ^ v4 over Z/3, keyed by sorted index 4-sets.
+
+    The coefficient of a 4-set is the 4x4 minor of the label coordinates on
+    those indices, mod 3; zero coefficients are left out.
+    """
     out = {}
-
-    # Sum over ordered choices of one basis index per vector; fold each
-    # choice into its sorted key with the permutation sign.
-    def rec(pos, chosen, coeff):
-        if coeff % 3 == 0:
-            return
-        if pos == 4:
-            order = sorted(range(4), key=lambda t: chosen[t])
-            key = tuple(chosen[t] for t in order)
-            if len(set(key)) != 4:
-                return
-            sign = _perm_sign(order)
-            out[key] = (out.get(key, 0) + sign * coeff) % 3
-            if out[key] == 0:
-                del out[key]
-            return
-        for idx in range(n):
-            c = vectors[pos].coords[idx]
-            if c % 3:
-                rec(pos + 1, chosen + (idx,), coeff * c)
-
-    rec(0, (), 1)
+    for key in combinations(range(len(vectors[0])), 4):
+        c = _det([[v.coords[i] for i in key] for v in vectors]) % 3
+        if c:
+            out[key] = c
     return out
-
-
-def _perm_sign(order):
-    sign = 1
-    for i in range(len(order)):
-        for j in range(i + 1, len(order)):
-            if order[i] > order[j]:
-                sign = -sign
-    return sign
 
 
 def kappa(d):

@@ -4,8 +4,8 @@ L_k evaluates the degree-k part of (1/2) N(l(x)^2) on a null-homologous
 barcode, reading l = log theta only through degree k-2 and pairing the
 symmetric summands N(l_i l_{k-i}) = N(l_{k-i} l_i); tau2 and tau3 sum
 L_4 / L_5 over a signed list of twists.
-Derivations wrap homogeneous tensors as Hom(H, .) maps through the
-duality x -> omega(x, -).
+A homogeneous tensor is itself a derivation, read as a Hom(H, .) map
+through the duality x -> omega(x, -).
 """
 
 from __future__ import annotations
@@ -82,86 +82,45 @@ def tau3(exp, twists):
 # -- derivations -------------------------------------------------------
 
 
-class Derivation:
-    """A homogeneous tensor of degree k+2 read as a map H -> H^(k+1).
+def _leibniz(d, t, start):
+    """Raw terms of d applied by the Leibniz rule to t's letters from ``start`` on.
 
-    A term u (x) t acts by h -> omega(u, h) t; generator images are
-    precomputed for all 2g basis vectors.
+    The homogeneous tensor d is a derivation through the duality
+    x -> omega(x, -): its term u (x) r sends h to omega(u, h) r, nonzero only
+    when h is the dual partner of the letter u.
     """
-
-    __slots__ = ("tensor", "degree", "images")
-
-    def __init__(self, tensor, degree):
-        if any(len(w) != degree + 2 for w in tensor.terms):
-            raise T.DomainError("derivation tensor must be homogeneous of degree k+2")
-        object.__setattr__(self, "tensor", tensor)
-        object.__setattr__(self, "degree", degree)
-        g, trunc = tensor.g, tensor.trunc
-        images = {idx: {} for idx in range(1, 2 * g + 1)}
-        for word, coeff in tensor.terms.items():
-            first, rest = word[0], word[1:]
-            # omega(e_first, e_target) is nonzero only on the dual partner.
-            if first <= g:
-                target, sign = first + g, 1
-            else:
-                target, sign = first - g, -1
-            acc = images[target]
-            acc[rest] = acc.get(rest, 0) + sign * coeff
-        object.__setattr__(
-            self, "images", {idx: T.Tensor(g, trunc, ws) for idx, ws in images.items()}
-        )
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Derivation is immutable")
-
-    def of_generator(self, idx):
-        return self.images[idx]
-
-    def __eq__(self, other):
-        if not isinstance(other, Derivation):
-            return NotImplemented
-        return self.degree == other.degree and self.tensor == other.tensor
+    d._check_compatible(t)
+    if len({len(w) for w in d.terms}) > 1:
+        raise T.DomainError("derivation tensor must be homogeneous")
+    g = d.g
+    images = {}
+    for word, coeff in d.terms.items():
+        u = word[0]
+        target, c = (u + g, coeff) if u <= g else (u - g, -coeff)
+        images.setdefault(target, []).append((word[1:], c))
+    terms = {}
+    for word, coeff in t.terms.items():
+        for pos in range(start, len(word)):
+            for iw, ic in images.get(word[pos], ()):
+                w = word[:pos] + iw + word[pos + 1 :]
+                terms[w] = terms.get(w, 0) + coeff * ic
+    return terms
 
 
 def apply_derivation(d, t):
-    """Extend d to tensors by the Leibniz rule, summing over letter positions."""
-    g, trunc = t.g, t.trunc
-    terms = {}
-    for word, coeff in t.terms.items():
-        for pos in range(len(word)):
-            image = d.of_generator(word[pos])
-            for iw, ic in image.terms.items():
-                w = word[:pos] + iw + word[pos + 1 :]
-                if len(w) > trunc:
-                    continue
-                terms[w] = terms.get(w, 0) + coeff * ic
-    return T.Tensor(g, trunc, terms)
-
-
-def derivation_tensor_from_map(g, trunc, f):
-    """Rebuild sum_i (a_i (x) f(b_i) - b_i (x) f(a_i)) from generator images."""
-    terms = {}
-    for i in range(1, g + 1):
-        for first, image, sign in ((i, f(g + i), 1), (g + i, f(i), -1)):
-            for iw, ic in image.terms.items():
-                w = (first,) + iw
-                if len(w) > trunc:
-                    continue
-                terms[w] = terms.get(w, 0) + sign * ic
-    return T.Tensor(g, trunc, terms)
+    """Extend the derivation d to tensors by the Leibniz rule."""
+    return T.Tensor(t.g, t.trunc, _leibniz(d, t, 0))
 
 
 def derivation_bracket(d1, d2):
-    """The commutator derivation d1 d2 - d2 d1, repackaged as a tensor."""
-    k = d1.degree + d2.degree
-    t1, t2 = d1.tensor, d2.tensor
-    t1._check_compatible(t2)
-    if k + 2 > t1.trunc:
+    """The commutator derivation d1 d2 - d2 d1 as a tensor.
+
+    It is sum_{u r in d2} u (x) d1(r) - sum_{u r in d1} u (x) d2(r): each
+    derivation applied to every letter of the other's terms but the first.
+    """
+    if sum(max(map(len, d.terms), default=0) for d in (d1, d2)) - 2 > d1.trunc:
         raise T.DomainError("bracket degree exceeds the truncation degree")
-
-    def f(idx):
-        return apply_derivation(d1, d2.of_generator(idx)) - apply_derivation(
-            d2, d1.of_generator(idx)
-        )
-
-    return Derivation(derivation_tensor_from_map(t1.g, t1.trunc, f), k)
+    terms = _leibniz(d1, d2, 1)
+    for w, c in _leibniz(d2, d1, 1).items():
+        terms[w] = terms.get(w, 0) - c
+    return T.Tensor(d1.g, d1.trunc, terms)

@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import diagrams as D
-from .diagrams import odot, tree
-from .johnson import Derivation, TwistEntry, derivation_bracket
+from .diagrams import eta, odot, tree
+from .johnson import TwistEntry, derivation_bracket
 from .surface import HVector, barcode_homology, commutator_barcode, omega
-from .tensor import DomainError, extract
+from .tensor import DomainError
 
 GENUS = 2
 
@@ -170,35 +170,28 @@ def lemma_odot_combination():
     )
 
 
-def bracket_decomposition_value(trunc=5):
+def bracket_decomposition_value():
     """Evaluate the bracket decomposition of tau_3(psi) as a tensor.
 
-    Degree-1 and degree-2 trees are expanded by eta and bracketed as
-    derivations; the five summands follow the published decomposition.
+    Degree-1 and degree-2 trees are expanded by eta, whose homogeneous
+    images are the derivations; the five summands follow the published
+    decomposition.
     """
-    def d1(ds):
-        return Derivation(extract(D.eta(ds, trunc), 3), 1)
-
-    def d2(ds):
-        return Derivation(extract(D.eta(ds, trunc), 4), 2)
-
     term1 = derivation_bracket(
-        d1(tree(A1, B1, A2).scale(3) + tree(B2, A2, A1) + tree(A1, B1, B2)),
-        d2(tree(A1, B1, A2, B2)),
+        eta(tree(A1, B1, A2).scale(3) + tree(B2, A2, A1) + tree(A1, B1, B2)),
+        eta(tree(A1, B1, A2, B2)),
     )
-    term2 = derivation_bracket(d1(tree(B1, A1, A2 - B2)), d2(tree(A1, A2, B2, A1)))
-    term3 = derivation_bracket(d1(tree(A2, B2, A1)), d2(tree(A2, B1, A1, A2)))
+    term2 = derivation_bracket(eta(tree(B1, A1, A2 - B2)), eta(tree(A1, A2, B2, A1)))
+    term3 = derivation_bracket(eta(tree(A2, B2, A1)), eta(tree(A2, B1, A1, A2)))
     term4 = derivation_bracket(
-        d1(tree(A1, B1, A2)),
-        derivation_bracket(d1(tree(A1, B1, B2)), d1(tree(A1 - B1, A2, B2))),
+        eta(tree(A1, B1, A2)),
+        derivation_bracket(eta(tree(A1, B1, B2)), eta(tree(A1 - B1, A2, B2))),
     )
     term5 = derivation_bracket(
-        d1(tree(B1, A2, B2)),
-        derivation_bracket(d1(tree(A1, B2, A2)), d1(tree(A1, B1, B2))),
+        eta(tree(B1, A2, B2)),
+        derivation_bracket(eta(tree(A1, B2, A2)), eta(tree(A1, B1, B2))),
     )
-    return (
-        term1.tensor + term2.tensor + term3.tensor + term4.tensor + term5.tensor
-    )
+    return term1 + term2 + term3 + term4 + term5
 
 
 def spine_pairs(twist):

@@ -149,13 +149,3 @@ def barcode_homology(bc, g):
     for idx, sign in barcode_letters(bc, g):
         coords[idx - 1] += sign
     return HVector(coords)
-
-
-def parse_barcode(text):
-    """Parse the text form: space-separated signed decimal integers."""
-    entries = tuple(int(tok) for tok in text.split())
-    return validate_barcode(entries)
-
-
-def format_barcode(bc):
-    return " ".join(str(k) for k in bc)

@@ -174,13 +174,6 @@ def truncate(x, k):
     return Tensor(x.g, x.trunc, {w: c for w, c in x.terms.items() if len(w) <= k})
 
 
-def top_degree(x):
-    """Maximal degree of a stored word; 0 for the zero tensor."""
-    if not x.terms:
-        return 0
-    return max(len(w) for w in x.terms)
-
-
 def exp_series(x):
     """Truncated exponential sum x^i / i! of a tensor with zero constant term."""
     if x.constant_term() != 0:
@@ -210,26 +203,24 @@ def log_series(x):
     return res
 
 
-def _left_nested_bracket(x, word):
-    """[[...[x1,x2],...],xn] for a single word, as a Tensor."""
-    res = Tensor.generator(x.g, x.trunc, word[0])
-    for idx in word[1:]:
-        res = bracket(res, Tensor.generator(x.g, x.trunc, idx))
-    return res
-
-
 def dynkin_defect(x):
     """Sum over degrees n of (beta(x_n) - n * x_n), where beta left-nests brackets.
 
-    Vanishes exactly when x is a Lie series degree by degree.
+    Vanishes exactly when x is a Lie series degree by degree.  The bracket
+    [[...[x1,x2],...],xn] of a word expands to signed words: each later
+    letter goes to the right (+) or to the left (-) of the word so far.
     """
     if x.constant_term() != 0:
         raise DomainError("dynkin_defect requires a zero constant term")
-    res = Tensor.zero(x.g, x.trunc)
+    terms = {}
     for word, coeff in x.terms.items():
-        res = res + _left_nested_bracket(x, word).scale(coeff)
-        res = res - Tensor(x.g, x.trunc, {word: coeff * len(word)})
-    return res
+        terms[word] = terms.get(word, 0) - len(word) * coeff
+        nested = [(word[:1], coeff)]
+        for idx in word[1:]:
+            nested = [p for w, c in nested for p in ((w + (idx,), c), ((idx,) + w, -c))]
+        for w, c in nested:
+            terms[w] = terms.get(w, 0) + c
+    return Tensor(x.g, x.trunc, terms)
 
 
 # -- canonical text form ----------------------------------------------

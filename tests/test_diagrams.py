@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import pytest
 
@@ -139,6 +140,42 @@ def test_kappa_linear_in_labels_mod_three():
         lhs = kappa(tree(u + v, w, x, y))
         rhs = kappa(tree(u, w, x, y) + tree(v, w, x, y))
         assert lhs == rhs
+
+
+def leibniz_wedge4(labels, n):
+    """v1 ^ v2 ^ v3 ^ v4 over the integers: 4-set -> sum over permutations."""
+    out = {}
+    for key in combinations(range(n), 4):
+        total = 0
+        for perm in permutations(range(4)):
+            inversions = sum(perm[i] > perm[j] for i in range(4) for j in range(i + 1, 4))
+            term = (-1) ** inversions
+            for row, col in enumerate(perm):
+                term *= labels[row].coords[key[col]]
+            total += term
+        out[key] = total
+    return out
+
+
+def test_kappa_matches_leibniz_sum():
+    # Genus 3: 15 index 4-sets, so the keys and their order are exercised.
+    g = 3
+    rng = rng_for("kappa-leibniz")
+    nonzero = 0
+    for _ in range(40):
+        d = DiagramSum()
+        expected = {}
+        for _ in range(rng.randint(1, 3)):
+            labels = [HVector(rng.randint(-2, 2) for _ in range(2 * g)) for _ in range(4)]
+            coeff = Fraction(rng.choice([-2, -1, 1, 2, 4]), rng.choice([1, 2, 4]))
+            d = d + tree(*labels).scale(coeff)
+            c = coeff.numerator * pow(coeff.denominator, -1, 3)
+            for key, val in leibniz_wedge4(labels, 2 * g).items():
+                expected[key] = expected.get(key, 0) + c * val
+        expected = {key: val % 3 for key, val in expected.items() if val % 3}
+        nonzero += bool(expected)
+        assert kappa(d) == expected
+    assert nonzero >= 30
 
 
 def test_kappa_rejects_wrong_degree():

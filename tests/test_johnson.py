@@ -6,7 +6,6 @@ from conftest import random_null_homologous_barcode, rng_for
 from twistcalc.diagrams import eta, morita_tau2, odot
 from twistcalc.expansion import default_expansion, theta
 from twistcalc.johnson import (
-    Derivation,
     L_k,
     TwistEntry,
     apply_derivation,
@@ -17,6 +16,7 @@ from twistcalc.johnson import (
 from twistcalc.surface import HVector, commutator_barcode, inverse_barcode
 from twistcalc.psi_data import load_psi
 from twistcalc.tensor import (
+    DegreeMismatchError,
     DomainError,
     Tensor,
     bracket,
@@ -137,23 +137,33 @@ def test_tau2_of_empty_list(exp_g2):
 
 def test_derivation_requires_homogeneous():
     t = words({(1, 3, 3): 1, (1, 3): 1})
+    d = words({(1, 3, 3): 1})
     with pytest.raises(DomainError):
-        Derivation(t, 1)
+        apply_derivation(t, Tensor.generator(G, N, 1))
+    with pytest.raises(DomainError):
+        derivation_bracket(t, d)
+    with pytest.raises(DomainError):
+        derivation_bracket(d, t)
+
+
+def test_derivation_rejects_another_genus():
+    with pytest.raises(DegreeMismatchError):
+        apply_derivation(words({(1, 3, 3): 1}), Tensor.generator(3, N, 1))
 
 
 def test_derivation_pairing_convention():
-    d = Derivation(words({(1, 3, 3): 1}), 1)  # a1 (x) b1 b1
+    d = words({(1, 3, 3): 1})  # a1 (x) b1 b1
     assert apply_derivation(d, Tensor.generator(G, N, 3)) == words({(3, 3): 1})
     assert apply_derivation(d, Tensor.generator(G, N, 1)).is_zero()
 
 
 def test_derivation_of_zero():
-    d = Derivation(Tensor.zero(G, N), 1)
+    d = Tensor.zero(G, N)
     assert apply_derivation(d, Tensor.generator(G, N, 1)).is_zero()
 
 
 def test_derivation_kills_constants():
-    d = Derivation(words({(1, 3, 3): 1}), 1)
+    d = words({(1, 3, 3): 1})
     assert apply_derivation(d, Tensor.one(G, N)).is_zero()
 
 
@@ -161,28 +171,16 @@ def test_derivation_leibniz():
     rng = rng_for("leibniz")
     gens = [Tensor.generator(G, N, i) for i in range(1, 2 * G + 1)]
     for _ in range(20):
-        t = words({(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)): Fraction(rng.randint(-3, 3))})
-        d = Derivation(t, 1)
+        d = words({(rng.randint(1, 4), rng.randint(1, 4), rng.randint(1, 4)): Fraction(rng.randint(-3, 3))})
         x = rng.choice(gens) + rng.choice(gens)
         y = rng.choice(gens) * rng.choice(gens)
         assert apply_derivation(d, x * y) == apply_derivation(d, x) * y + x * apply_derivation(d, y)
 
 
-def test_derivation_round_trip(exp_g2):
-    t = L_k(exp_g2, GAMMA2, 4)
-    assert Derivation(t, 2).tensor == t
-    from twistcalc.johnson import derivation_tensor_from_map
-
-    d = Derivation(t, 2)
-    rebuilt = derivation_tensor_from_map(G, N, d.of_generator)
-    assert rebuilt == t
-
-
 def test_derivation_bracket_self_is_zero():
     rng = rng_for("selfbr")
     t = words({(1, 3, 4): 2, (2, 1, 3): -1})
-    d = Derivation(t, 1)
-    assert derivation_bracket(d, d).tensor.is_zero()
+    assert derivation_bracket(t, t).is_zero()
 
 
 def test_derivation_bracket_antisymmetry_and_jacobi():
@@ -193,21 +191,44 @@ def test_derivation_bracket_antisymmetry_and_jacobi():
         for _ in range(3):
             w = tuple(rng.randint(1, 4) for _ in range(3))
             terms[w] = terms.get(w, 0) + rng.randint(-2, 2)
-        return Derivation(words(terms), 1)
+        return words(terms)
 
     for _ in range(10):
         d1, d2, d3 = rand_d(), rand_d(), rand_d()
-        assert derivation_bracket(d1, d2).tensor == -derivation_bracket(d2, d1).tensor
+        assert derivation_bracket(d1, d2) == -derivation_bracket(d2, d1)
         jac = (
-            derivation_bracket(d1, derivation_bracket(d2, d3)).tensor
-            + derivation_bracket(d2, derivation_bracket(d3, d1)).tensor
-            + derivation_bracket(d3, derivation_bracket(d1, d2)).tensor
+            derivation_bracket(d1, derivation_bracket(d2, d3))
+            + derivation_bracket(d2, derivation_bracket(d3, d1))
+            + derivation_bracket(d3, derivation_bracket(d1, d2))
         )
         assert jac.is_zero()
 
 
+def test_derivation_bracket_is_the_commutator():
+    # As a derivation, [d1, d2] acts on every tensor as d1 d2 - d2 d1.
+    rng = rng_for("brcommutator")
+
+    def rand_words(degree, count):
+        terms = {}
+        for _ in range(count):
+            w = tuple(rng.randint(1, 2 * G) for _ in range(degree))
+            terms[w] = terms.get(w, 0) + rng.randint(-2, 2)
+        return words(terms)
+
+    for n1, n2 in ((3, 3), (3, 4)):
+        d1, d2 = rand_words(n1, 4), rand_words(n2, 4)
+        br = derivation_bracket(d1, d2)
+        for _ in range(5):
+            x = rand_words(rng.randint(1, 2), 3)
+            lhs = apply_derivation(br, x)
+            rhs = apply_derivation(d1, apply_derivation(d2, x)) - apply_derivation(
+                d2, apply_derivation(d1, x)
+            )
+            assert lhs == rhs
+
+
 def test_derivation_bracket_degree_overflow(exp_g2):
-    d2 = Derivation(L_k(exp_g2, S1, 4), 2)
+    d2 = L_k(exp_g2, S1, 4)
     with pytest.raises(DomainError):
         derivation_bracket(d2, d2)
 
@@ -216,5 +237,4 @@ def test_L_derivations_annihilate_omega_tilde(exp_g2):
     target = omega_tilde()
     for tw in load_psi():
         for k in (4, 5):
-            d = Derivation(L_k(exp_g2, tw.barcode, k), k - 2)
-            assert apply_derivation(d, target).is_zero()
+            assert apply_derivation(L_k(exp_g2, tw.barcode, k), target).is_zero()

@@ -8,11 +8,9 @@ from twistcalc.surface import (
     barcode_letters,
     boundary_barcode,
     commutator_barcode,
-    format_barcode,
     free_reduce,
     inverse_barcode,
     omega,
-    parse_barcode,
     validate_barcode,
 )
 
@@ -151,9 +149,3 @@ def test_barcode_homology():
 
 def test_inverse_barcode():
     assert inverse_barcode((1, -2, 3)) == (-3, 2, -1)
-
-
-def test_barcode_text_round_trip():
-    bc = (1, -2, -1, 2)
-    assert parse_barcode(format_barcode(bc)) == bc
-    assert format_barcode(bc) == "1 -2 -1 2"

@@ -15,7 +15,6 @@ from twistcalc.tensor import (
     log_series,
     product,
     render,
-    top_degree,
     truncate,
 )
 
@@ -176,15 +175,13 @@ def test_cyclicize_rejects_constant():
         cyclicize(Tensor.one(G, N))
 
 
-# -- extract / truncate / top_degree --------------------------------------
+# -- extract / truncate ----------------------------------------------------
 
 
-def test_extract_truncate_top_degree():
+def test_extract_truncate():
     x = Tensor.one(G, N) + gen(A1) + words({(A1, B1): 1})
     assert extract(x, 2) == words({(A1, B1): 1})
     assert truncate(x, 1) == Tensor.one(G, N) + gen(A1)
-    assert top_degree(Tensor.zero(G, N)) == 0
-    assert top_degree(x) == 2
 
 
 # -- exp / log -------------------------------------------------------------
@@ -257,6 +254,26 @@ def test_dynkin_defect_on_iterated_brackets():
             x = bracket(x, rng.choice(gens))
         y = bracket(rng.choice(gens), rng.choice(gens))
         assert dynkin_defect(x + y).is_zero()
+
+
+def test_dynkin_defect_matches_bracket_chain():
+    # Reference: beta(w) - n w with beta(w) the left-nested chain of brackets
+    # [[...[x1,x2],...],xn], on random non-Lie tensors with words of degree 1..N.
+    rng = rng_for("dynkin-chain")
+    for _ in range(20):
+        terms = {}
+        for n in list(range(1, N + 1)) + [rng.randint(2, N) for _ in range(3)]:
+            w = tuple(rng.randint(1, 2 * G) for _ in range(n))
+            terms[w] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+        x = words(terms)
+        expected = Tensor.zero(G, N)
+        for word, coeff in x.terms.items():
+            nested = gen(word[0])
+            for idx in word[1:]:
+                nested = bracket(nested, gen(idx))
+            expected = expected + (nested - words({word: len(word)})).scale(coeff)
+        assert not expected.is_zero()
+        assert dynkin_defect(x) == expected
 
 
 def test_dynkin_defect_rejects_constant():
