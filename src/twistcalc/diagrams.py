@@ -132,11 +132,8 @@ def odot(u, v):
 
 
 def _hv_tensor(v, g, trunc):
-    terms = {}
-    for i, c in enumerate(v.coords):
-        if c:
-            terms[(i + 1,)] = c
-    return T.Tensor(g, trunc, terms)
+    """The degree-1 tensor of an HVector of length 2g (checked by eta)."""
+    return T._tensor(g, trunc, {(i + 1,): c for i, c in enumerate(v.coords)})
 
 
 def _eta_node(node, g, trunc):
@@ -160,15 +157,21 @@ def _eta_node(node, g, trunc):
 
 
 def eta(d, trunc=5, g=None):
-    """Expand a DiagramSum into the tensor algebra."""
-    some = next(iter(d.items), None)
-    if some is None:
-        if g is None:
+    """Expand a DiagramSum into the tensor algebra over genus g.
+
+    With g None the genus is read from the labels of the first node.  Raises
+    DegreeMismatchError when a node's labels have another genus.
+    """
+    if g is None:
+        some = next(iter(d.items), None)
+        if some is None:
             raise T.DomainError("cannot infer the genus of an empty DiagramSum")
-    else:
         g = _node_genus(some)
     res = T.Tensor.zero(g, trunc)
     for node, coeff in d.items.items():
+        h = _node_genus(node)
+        if h != g:
+            raise T.DegreeMismatchError("diagram labels have genus %d, not %d" % (h, g))
         res = res + _eta_node(node, g, trunc).scale(coeff)
     return res
 

@@ -32,7 +32,10 @@ class SymplecticExpansion:
         # Truncation to degree d is an algebra map, so the letter values at
         # degree d are the full ones with their longer words dropped.
         self._letters = {
-            d: {key: T.Tensor(g, d, t.terms) for key, t in full.items()}
+            d: {
+                key: T._tensor(g, d, {w: c for w, c in t.num.items() if len(w) <= d}, t.den)
+                for key, t in full.items()
+            }
             for d in range(1, trunc)
         }
         self._letters[trunc] = full

@@ -47,7 +47,7 @@ def L_k(exp, bc, k):
     l = log_theta(exp, bc, k - 2)
     # Lift the homogeneous parts to the output truncation exp.trunc.
     parts = [
-        T.Tensor(exp.g, exp.trunc, {w: c for w, c in l.terms.items() if len(w) == i})
+        T._tensor(exp.g, exp.trunc, {w: c for w, c in l.num.items() if len(w) == i}, l.den)
         for i in range(k - 1)
     ]
     if not parts[1].is_zero():
@@ -83,33 +83,39 @@ def tau3(exp, twists):
 
 
 def _leibniz(d, t, start):
-    """Raw terms of d applied by the Leibniz rule to t's letters from ``start`` on.
+    """d applied by the Leibniz rule to t's letters from ``start`` on.
 
-    The homogeneous tensor d is a derivation through the duality
-    x -> omega(x, -): its term u (x) r sends h to omega(u, h) r, nonzero only
-    when h is the dual partner of the letter u.
+    Returns raw int numerators over the denominator d.den * t.den, without
+    the words that would grow past the truncation.  The homogeneous tensor d
+    is a derivation through the duality x -> omega(x, -): its term u (x) r
+    sends h to omega(u, h) r, nonzero only when h is the dual partner of the
+    letter u.
     """
     d._check_compatible(t)
-    if len({len(w) for w in d.terms}) > 1:
+    degrees = {len(w) for w in d.num}
+    if len(degrees) > 1:
         raise T.DomainError("derivation tensor must be homogeneous")
+    grow = degrees.pop() - 2 if degrees else 0
     g = d.g
     images = {}
-    for word, coeff in d.terms.items():
+    for word, coeff in d.num.items():
         u = word[0]
         target, c = (u + g, coeff) if u <= g else (u - g, -coeff)
         images.setdefault(target, []).append((word[1:], c))
-    terms = {}
-    for word, coeff in t.terms.items():
+    num = {}
+    for word, coeff in t.num.items():
+        if len(word) + grow > t.trunc:
+            continue
         for pos in range(start, len(word)):
             for iw, ic in images.get(word[pos], ()):
                 w = word[:pos] + iw + word[pos + 1 :]
-                terms[w] = terms.get(w, 0) + coeff * ic
-    return terms
+                num[w] = num.get(w, 0) + coeff * ic
+    return num
 
 
 def apply_derivation(d, t):
     """Extend the derivation d to tensors by the Leibniz rule."""
-    return T.Tensor(t.g, t.trunc, _leibniz(d, t, 0))
+    return T._tensor(t.g, t.trunc, _leibniz(d, t, 0), d.den * t.den)
 
 
 def derivation_bracket(d1, d2):
@@ -118,9 +124,9 @@ def derivation_bracket(d1, d2):
     It is sum_{u r in d2} u (x) d1(r) - sum_{u r in d1} u (x) d2(r): each
     derivation applied to every letter of the other's terms but the first.
     """
-    if sum(max(map(len, d.terms), default=0) for d in (d1, d2)) - 2 > d1.trunc:
+    if sum(max(map(len, d.num), default=0) for d in (d1, d2)) - 2 > d1.trunc:
         raise T.DomainError("bracket degree exceeds the truncation degree")
-    terms = _leibniz(d1, d2, 1)
+    num = _leibniz(d1, d2, 1)
     for w, c in _leibniz(d2, d1, 1).items():
-        terms[w] = terms.get(w, 0) - c
-    return T.Tensor(d1.g, d1.trunc, terms)
+        num[w] = num.get(w, 0) - c
+    return T._tensor(d1.g, d1.trunc, num, d1.den * d2.den)

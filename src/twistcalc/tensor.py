@@ -1,15 +1,18 @@
 """Exact sparse arithmetic in the truncated free associative algebra.
 
 Generators are indexed 1..2g: index i <= g is a_i, index g+i is b_i.
-Words are tuples of generator indices; a Tensor is a finitely supported
-map from words to nonzero rational coefficients, truncated so that no
-stored word is longer than ``trunc``.
+Words are tuples of generator indices.  A Tensor is a finitely supported
+map from words no longer than ``trunc`` to rationals, stored as Python int
+numerators over one positive common denominator, so that the arithmetic
+runs on integers; ``terms`` is the rational view of the same values.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from fractions import Fraction
-from math import factorial
+from itertools import accumulate
+from math import factorial, gcd, lcm
 
 
 class DegreeMismatchError(ValueError):
@@ -23,20 +26,26 @@ class DomainError(ValueError):
 class Tensor:
     """Element of the free algebra on 2g generators, truncated at degree ``trunc``.
 
-    Immutable after construction. ``terms`` maps words (tuples of generator
-    indices in 1..2g) to nonzero Fractions; the constructor drops zero
-    coefficients and overlong words, so callers pass raw accumulated sums.
+    Immutable.  ``num`` maps words (tuples of generator indices in 1..2g) to
+    int numerators over the common denominator ``den``, in canonical form:
+    ``den > 0``, no zero numerator and ``gcd(den, *num.values()) == 1``, so
+    equal tensors store equal values.  ``terms`` is the read-only view of
+    the same map with Fraction coefficients.
+
+    The constructor is the checked entry point for outside input: it checks
+    every generator index, converts the coefficients to Fractions and drops
+    zero coefficients and overlong words, so callers pass raw accumulated
+    sums.  The operations of the package build their results through the
+    trusted ``_tensor`` instead.
     """
 
-    __slots__ = ("g", "trunc", "terms")
+    __slots__ = ("g", "trunc", "num", "den")
 
     def __init__(self, g, trunc, terms=None):
         if g < 1:
             raise DomainError("genus must be >= 1")
         if trunc < 1:
             raise DomainError("truncation degree must be >= 1")
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "trunc", trunc)
         clean = {}
         if terms:
             for word, coeff in terms.items():
@@ -49,10 +58,17 @@ class Tensor:
                     if not 1 <= idx <= 2 * g:
                         raise DomainError("generator index %r out of range" % (idx,))
                 clean[tuple(word)] = c
-        object.__setattr__(self, "terms", clean)
+        den = lcm(*(c.denominator for c in clean.values()))
+        num = {w: c.numerator * (den // c.denominator) for w, c in clean.items()}
+        _store(self, g, trunc, num, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
+
+    @property
+    def terms(self):
+        """Read-only map from words to their nonzero Fraction coefficients."""
+        return _Terms(self.num, self.den)
 
     # -- constructors -------------------------------------------------
 
@@ -71,18 +87,23 @@ class Tensor:
     # -- basic structure ----------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def constant_term(self):
-        return self.terms.get((), Fraction(0))
+        return Fraction(self.num.get((), 0), self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self.terms == other.terms
+        return (
+            self.g == other.g
+            and self.trunc == other.trunc
+            and self.den == other.den
+            and self.num == other.num
+        )
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.g, self.trunc, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
         return "Tensor(g=%d, trunc=%d, %s)" % (self.g, self.trunc, render(self))
@@ -100,25 +121,21 @@ class Tensor:
     def __add__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for word, coeff in other.terms.items():
-            terms[word] = terms.get(word, 0) + coeff
-        return Tensor(self.g, self.trunc, terms)
+        return _combine(self, other, 1)
 
     def __neg__(self):
-        return Tensor(self.g, self.trunc, {w: -c for w, c in self.terms.items()})
+        return _tensor(self.g, self.trunc, {w: -c for w, c in self.num.items()}, self.den)
 
     def __sub__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return self + (-other)
+        return _combine(self, other, -1)
 
     def scale(self, scalar):
         s = Fraction(scalar)
-        if s == 0:
-            return Tensor.zero(self.g, self.trunc)
-        return Tensor(self.g, self.trunc, {w: c * s for w, c in self.terms.items()})
+        p = s.numerator
+        num = {w: c * p for w, c in self.num.items()} if p else {}
+        return _tensor(self.g, self.trunc, num, self.den * s.denominator)
 
     def __mul__(self, other):
         if isinstance(other, Tensor):
@@ -129,19 +146,86 @@ class Tensor:
         return self.scale(other)
 
 
-def product(x, y):
-    """Concatenation product, discarding words longer than the truncation."""
+def _store(t, g, trunc, num, den):
+    """Fill the slots of t with num/den brought to canonical form."""
+    if 0 in num.values():
+        num = {w: c for w, c in num.items() if c}
+    if not num:
+        den = 1
+    else:
+        d = gcd(den, *num.values())
+        if d != 1:
+            den //= d
+            num = {w: c // d for w, c in num.items()}
+    object.__setattr__(t, "g", g)
+    object.__setattr__(t, "trunc", trunc)
+    object.__setattr__(t, "num", num)
+    object.__setattr__(t, "den", den)
+    return t
+
+
+def _tensor(g, trunc, num, den=1):
+    """The trusted constructor: the tensor num/den, brought to canonical form.
+
+    ``num`` maps words of generator indices in 1..2g, none longer than
+    ``trunc``, to ints (zeros allowed) and ``den`` is a positive int; neither
+    is checked, and ``num`` may be kept, so the caller must not change it.
+    """
+    return _store(object.__new__(Tensor), g, trunc, num, den)
+
+
+class _Terms(Mapping):
+    """The rational view of num/den: each coefficient made a Fraction when read."""
+
+    __slots__ = ("_num", "_den")
+
+    def __init__(self, num, den):
+        self._num = num
+        self._den = den
+
+    def __getitem__(self, word):
+        return Fraction(self._num[word], self._den)
+
+    def __iter__(self):
+        return iter(self._num)
+
+    def __len__(self):
+        return len(self._num)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+def _combine(x, y, sign):
+    """x + sign * y over the common denominator lcm(x.den, y.den)."""
     x._check_compatible(y)
-    terms = {}
+    den = lcm(x.den, y.den)
+    mx = den // x.den
+    my = sign * (den // y.den)
+    num = {w: c * mx for w, c in x.num.items()}
+    for w, c in y.num.items():
+        num[w] = num.get(w, 0) + c * my
+    return _tensor(x.g, x.trunc, num, den)
+
+
+def product(x, y):
+    """Concatenation product, discarding words longer than the truncation.
+
+    y's terms are bucketed by degree once, so each word of x meets only the
+    words of y that fit in the room the truncation leaves it.
+    """
+    x._check_compatible(y)
     trunc = x.trunc
-    for wx, cx in x.terms.items():
-        room = trunc - len(wx)
-        for wy, cy in y.terms.items():
-            if len(wy) > room:
-                continue
+    by_degree = [[] for _ in range(trunc + 1)]
+    for wy, cy in y.num.items():
+        by_degree[len(wy)].append((wy, cy))
+    fitting = list(accumulate(by_degree))  # fitting[r]: y's terms of degree <= r
+    num = {}
+    for wx, cx in x.num.items():
+        for wy, cy in fitting[trunc - len(wx)]:
             w = wx + wy
-            terms[w] = terms.get(w, 0) + cx * cy
-    return Tensor(x.g, trunc, terms)
+            num[w] = num.get(w, 0) + cx * cy
+    return _tensor(x.g, trunc, num, x.den * y.den)
 
 
 def bracket(x, y):
@@ -154,32 +238,31 @@ def cyclicize(x):
 
     Requires a zero constant term.
     """
-    if x.constant_term() != 0:
+    if () in x.num:
         raise DomainError("cyclicize requires a zero constant term")
-    terms = {}
-    for word, coeff in x.terms.items():
+    num = {}
+    for word, coeff in x.num.items():
         for i in range(len(word)):
             w = word[i:] + word[:i]
-            terms[w] = terms.get(w, 0) + coeff
-    return Tensor(x.g, x.trunc, terms)
+            num[w] = num.get(w, 0) + coeff
+    return _tensor(x.g, x.trunc, num, x.den)
 
 
 def extract(x, k):
     """The homogeneous part of degree k."""
-    return Tensor(x.g, x.trunc, {w: c for w, c in x.terms.items() if len(w) == k})
+    return _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if len(w) == k}, x.den)
 
 
 def truncate(x, k):
     """All parts of degree <= k."""
-    return Tensor(x.g, x.trunc, {w: c for w, c in x.terms.items() if len(w) <= k})
+    return _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if len(w) <= k}, x.den)
 
 
 def exp_series(x):
     """Truncated exponential sum x^i / i! of a tensor with zero constant term."""
-    if x.constant_term() != 0:
+    if () in x.num:
         raise DomainError("exp_series requires a zero constant term")
-    res = Tensor.one(x.g, x.trunc)
-    power = Tensor.one(x.g, x.trunc)
+    res = power = _tensor(x.g, x.trunc, {(): 1})
     for i in range(1, x.trunc + 1):
         power = product(power, x)
         if power.is_zero():
@@ -190,11 +273,11 @@ def exp_series(x):
 
 def log_series(x):
     """Truncated logarithm of a tensor whose constant term is exactly 1."""
-    if x.constant_term() != 1:
+    if x.num.get(()) != x.den:
         raise DomainError("log_series requires constant term exactly 1")
-    d = x - Tensor.one(x.g, x.trunc)
-    res = Tensor.zero(x.g, x.trunc)
-    power = Tensor.one(x.g, x.trunc)
+    d = _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if w}, x.den)
+    res = _tensor(x.g, x.trunc, {})
+    power = _tensor(x.g, x.trunc, {(): 1})
     for i in range(1, x.trunc + 1):
         power = product(power, d)
         if power.is_zero():
@@ -210,17 +293,17 @@ def dynkin_defect(x):
     [[...[x1,x2],...],xn] of a word expands to signed words: each later
     letter goes to the right (+) or to the left (-) of the word so far.
     """
-    if x.constant_term() != 0:
+    if () in x.num:
         raise DomainError("dynkin_defect requires a zero constant term")
-    terms = {}
-    for word, coeff in x.terms.items():
-        terms[word] = terms.get(word, 0) - len(word) * coeff
+    num = {}
+    for word, coeff in x.num.items():
+        num[word] = num.get(word, 0) - len(word) * coeff
         nested = [(word[:1], coeff)]
         for idx in word[1:]:
             nested = [p for w, c in nested for p in ((w + (idx,), c), ((idx,) + w, -c))]
         for w, c in nested:
-            terms[w] = terms.get(w, 0) + c
-    return Tensor(x.g, x.trunc, terms)
+            num[w] = num.get(w, 0) + c
+    return _tensor(x.g, x.trunc, num, x.den)
 
 
 # -- canonical text form ----------------------------------------------
@@ -235,15 +318,17 @@ def generator_name(g, idx):
 def render(x):
     """Canonical text form: terms sorted by (degree, lexicographic word).
 
-    Each term renders as ``p/q gen*gen*...`` with the sign carried by the
-    ``+``/``-`` joiners; the zero tensor renders ``0``.
+    Each term renders as ``p/q gen*gen*...`` in lowest terms, with the sign
+    carried by the ``+``/``-`` joiners; the zero tensor renders ``0``.
     """
-    if not x.terms:
+    if not x.num:
         return "0"
     parts = []
-    for word in sorted(x.terms, key=lambda w: (len(w), w)):
-        coeff = x.terms[word]
-        mag = "%d/%d" % (abs(coeff.numerator), coeff.denominator)
+    den = x.den
+    for word in sorted(x.num, key=lambda w: (len(w), w)):
+        coeff = x.num[word]
+        d = gcd(coeff, den)
+        mag = "%d/%d" % (abs(coeff) // d, den // d)
         body = "*".join(generator_name(x.g, i) for i in word)
         term = mag + (" " + body if body else "")
         if not parts:

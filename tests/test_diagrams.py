@@ -6,7 +6,7 @@ import pytest
 from conftest import rng_for
 from twistcalc.diagrams import DiagramSum, eta, kappa, morita_tau2, odot, tree
 from twistcalc.surface import HVector
-from twistcalc.tensor import DomainError
+from twistcalc.tensor import DegreeMismatchError, DomainError, Tensor
 
 G = 2
 N = 5
@@ -69,6 +69,25 @@ def test_eta_degree_one_reading():
         + product(a2, bracket(b1, a1))
     )
     assert eta(tree(A1, B1, A2), N) == expected
+
+
+def test_eta_genus_inferred_from_labels():
+    assert eta(tree(A1, A2, B1, B2), N).g == G
+    with pytest.raises(DomainError):
+        eta(DiagramSum(), N)
+
+
+def test_eta_uses_the_given_genus():
+    assert eta(tree(A1, A2, B1, B2), N, G) == eta(tree(A1, A2, B1, B2), N)
+    assert eta(DiagramSum(), N, 3) == Tensor.zero(3, N)
+
+
+def test_eta_rejects_labels_of_another_genus():
+    with pytest.raises(DegreeMismatchError):
+        eta(tree(A1, A2, B1, B2), N, 3)
+    genus3 = [HVector.basis(3, i) for i in (1, 2, 4, 5)]
+    with pytest.raises(DegreeMismatchError):
+        eta(tree(A1, A2, B1, B2) + tree(*genus3), N)
 
 
 # -- odot ----------------------------------------------------------------

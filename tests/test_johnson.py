@@ -157,6 +157,12 @@ def test_derivation_pairing_convention():
     assert apply_derivation(d, Tensor.generator(G, N, 1)).is_zero()
 
 
+def test_derivation_drops_words_past_the_truncation():
+    d = words({(1, 3, 3): 1})  # a1 (x) b1 b1 sends b1 to b1 b1
+    assert apply_derivation(d, words({(3,) * 4: 1})) == words({(3,) * 5: 4})
+    assert apply_derivation(d, words({(3,) * 5: 1})).is_zero()
+
+
 def test_derivation_of_zero():
     d = Tensor.zero(G, N)
     assert apply_derivation(d, Tensor.generator(G, N, 1)).is_zero()

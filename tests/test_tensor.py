@@ -1,5 +1,7 @@
 from fractions import Fraction
 
+from math import factorial, gcd
+
 import pytest
 
 from conftest import random_barcode, rng_for
@@ -63,6 +65,17 @@ def random_tensor(rng, g=G, trunc=N, max_deg=2, nterms=3):
     return Tensor(g, trunc, terms)
 
 
+# -- equality ------------------------------------------------------------
+
+
+def test_equality_compares_genus_and_truncation():
+    x = words({(A1,): 1})
+    assert x == words({(A1,): Fraction(2, 2)})
+    assert x != words({(A1,): 1}, g=3)
+    assert x != words({(A1,): 1}, trunc=4)
+    assert Tensor.zero(G, N) != Tensor.zero(3, N)
+
+
 # -- product -------------------------------------------------------------
 
 
@@ -90,8 +103,8 @@ def test_product_trunc_mismatch():
 def test_product_matches_dense_oracle():
     rng = rng_for("product-oracle")
     for _ in range(50):
-        x = random_tensor(rng)
-        y = random_tensor(rng)
+        x = random_tensor(rng, max_deg=N, nterms=8)
+        y = random_tensor(rng, max_deg=N, nterms=8)
         expected = from_dense(dense_mul(as_dense(x), as_dense(y)))
         assert product(x, y) == expected
 
@@ -279,6 +292,105 @@ def test_dynkin_defect_matches_bracket_chain():
 def test_dynkin_defect_rejects_constant():
     with pytest.raises(DomainError):
         dynkin_defect(Tensor.one(G, N))
+
+
+# -- differential test against a Fraction-dict reference --------------------
+#
+# The reference runs every operation on plain dicts of Fractions, with the
+# product taken from dense_mul; it shares no code with the kernel's integer
+# numerators over a common denominator.  Results are compared as rational
+# term dicts, so the kernel's canonical form is checked separately.
+
+
+def ref_clean(d, trunc):
+    return {w: Fraction(c) for w, c in d.items() if c != 0 and len(w) <= trunc}
+
+
+def ref_lin(x, y, s):
+    out = dict(x)
+    for w, c in y.items():
+        out[w] = out.get(w, 0) + s * c
+    return out
+
+
+def ref_mul(x, y, trunc):
+    return ref_clean(dense_mul(x, y), trunc)
+
+
+def ref_series(x, trunc, coeff):
+    """sum_{i >= 1} coeff(i) x^i, truncated."""
+    out, power = {}, {(): Fraction(1)}
+    for i in range(1, trunc + 1):
+        power = ref_mul(power, x, trunc)
+        out = ref_lin(out, power, coeff(i))
+    return ref_clean(out, trunc)
+
+
+def ref_cyclicize(x):
+    out = {}
+    for w, c in x.items():
+        for i in range(len(w)):
+            out = ref_lin(out, {w[i:] + w[:i]: c}, 1)
+    return out
+
+
+def ref_dynkin(x, trunc):
+    out = {}
+    for w, c in x.items():
+        nested = {w[:1]: Fraction(1)}
+        for idx in w[1:]:
+            letter = {(idx,): 1}
+            nested = ref_lin(ref_mul(nested, letter, trunc), ref_mul(letter, nested, trunc), -1)
+        out = ref_lin(out, ref_lin({w: -len(w) * c}, nested, c), 1)
+    return out
+
+
+def random_terms(rng, g, trunc):
+    """Fraction coefficients on words of every degree 0..trunc, and a few more."""
+    terms = {}
+    for deg in list(range(trunc + 1)) + [rng.randint(1, trunc) for _ in range(3)]:
+        w = tuple(rng.randint(1, 2 * g) for _ in range(deg))
+        num = rng.choice([-6, -3, -2, -1, 1, 2, 4, 9])
+        terms[w] = Fraction(num, rng.choice([1, 2, 3, 4, 6, 12]))
+    return terms
+
+
+def assert_canonical(t):
+    assert t.den > 0
+    assert 0 not in t.num.values()
+    assert gcd(t.den, *t.num.values()) == 1
+
+
+@pytest.mark.parametrize("trunc", range(1, N + 1))
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_kernel_matches_fraction_reference(g, trunc):
+    rng = rng_for("kernel-%d-%d" % (g, trunc))
+    for _ in range(4):
+        xd, yd = random_terms(rng, g, trunc), random_terms(rng, g, trunc)
+        x, y = Tensor(g, trunc, xd), Tensor(g, trunc, yd)
+        x0d = {w: c for w, c in xd.items() if w}
+        x0 = Tensor(g, trunc, x0d)
+        s = Fraction(rng.randint(-4, 4), rng.randint(1, 6))
+        exp_ref = ref_series(x0d, trunc, lambda i: Fraction(1, factorial(i)))
+        log_ref = ref_series(x0d, trunc, lambda i: Fraction((-1) ** (i + 1), i))
+        cases = [
+            (product(x, y), ref_mul(xd, yd, trunc)),
+            (x + y, ref_lin(xd, yd, 1)),
+            (x - y, ref_lin(xd, yd, -1)),
+            (x - x, {}),
+            (-x, {w: -c for w, c in xd.items()}),
+            (x.scale(s), {w: s * c for w, c in xd.items()}),
+            (cyclicize(x0), ref_cyclicize(x0d)),
+            (exp_series(x0), ref_lin({(): 1}, exp_ref, 1)),
+            (log_series(Tensor.one(g, trunc) + x0), log_ref),
+            (dynkin_defect(x0), ref_dynkin(x0d, trunc)),
+        ]
+        for k in range(trunc + 1):
+            cases.append((extract(x, k), {w: c for w, c in xd.items() if len(w) == k}))
+            cases.append((truncate(x, k), {w: c for w, c in xd.items() if len(w) <= k}))
+        for got, want in cases:
+            assert_canonical(got)
+            assert dict(got.terms) == ref_clean(want, trunc)
 
 
 # -- canonical text ---------------------------------------------------------
