@@ -30,8 +30,7 @@ from .johnson import (
     TwistEntry,
     apply_derivation,
     derivation_bracket,
-    tau2,
-    tau3,
+    twist_sum,
 )
 from .diagrams import DiagramSum, OdotSymbol, TreeDiagram, eta, kappa, morita_tau2, odot, tree
 from .casson import (

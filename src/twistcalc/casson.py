@@ -2,7 +2,8 @@
 
 d takes the value 4h(h-1) on a genus-h BSCC twist and d' the value
 h(2h+1); d' factors through tau_2 via the linear map dbar_prime.  On a
-J_3-certified list (tau_2 = 0) the Casson invariant is -d/24.
+J_3-certified list (tau_2 = 0) the Casson invariant is -d/24; lambda_J3
+and twist_audit take the tau_2 their caller computed (johnson.twist_sum).
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from fractions import Fraction
 
 from . import tensor as T
 from .diagrams import OdotSymbol
-from .johnson import tau2
 from .surface import omega
 
 
@@ -77,32 +77,29 @@ class CertificateError(ValueError):
         super().__init__("tau_2 of the twist list is nonzero: %s" % T.render(tau2_value))
 
 
-def lambda_J3(exp, twists):
-    """The Casson homomorphism -d/24 on a J_3-certified twist list."""
-    t2 = tau2(exp, twists)
+def lambda_J3(t2, twists):
+    """The Casson homomorphism -d/24 on a twist list whose tau_2 is ``t2``.
+
+    Raises CertificateError unless ``t2`` vanishes (the J_3 certificate).
+    """
     if not t2.is_zero():
         raise CertificateError(t2)
     return Fraction(-d_core(twists), 24)
 
 
-def twist_audit(twists, exp=None):
+def twist_audit(twists, t2=None):
     """Separate the signed genus-1 and genus-2 twist counts from d and d'.
 
-    n_genus2 = d/8 and n_genus1 = (4d' - 5d)/12.  If an expansion is given
-    and the list is J_3-certified, the lambda value is included.
+    n_genus2 = d/8 and n_genus1 = (4d' - 5d)/12.  If the list's tau_2 is
+    given and vanishes, the lambda value is included.
     """
     d = d_core(twists)
     dp = d_prime(twists)
-    lam = None
-    if exp is not None:
-        try:
-            lam = lambda_J3(exp, twists)
-        except CertificateError:
-            lam = None
+    certified = t2 is not None and t2.is_zero()
     return CassonReport(
         d_value=d,
         d_prime_value=dp,
         n_genus1=Fraction(4 * dp - 5 * d, 12),
         n_genus2=Fraction(d, 8),
-        lambda_value=lam,
+        lambda_value=lambda_J3(t2, twists) if certified else None,
     )

@@ -13,7 +13,7 @@ from . import psi_data as P
 from .casson import twist_audit
 from .expansion import default_expansion, symplectic_defect
 from .diagrams import eta
-from .johnson import TwistEntry, tau2, tau3
+from .johnson import TwistEntry, twist_sum
 from .surface import BarcodeError, barcode_homology
 from .tensor import DomainError, render
 
@@ -87,22 +87,20 @@ def cmd_check_expansion(args):
 def cmd_tau(args):
     exp = default_expansion(args.genus)
     entries = _load_entries(args.file, args.genus)
-    if args.level == 2:
-        value = tau2(exp, entries)
-    else:
-        t2 = tau2(exp, entries)
-        if not t2.is_zero() and not args.unsafe:
-            print("J_3 certificate failed; tau_2 = %s" % render(t2), file=sys.stderr)
-            return EXIT_MISMATCH
-        value = tau3(exp, entries)
-    print(render(value))
+    sums = twist_sum(exp, entries, args.level + 2)
+    t2 = sums[0]
+    if args.level == 3 and not t2.is_zero() and not args.unsafe:
+        print("J_3 certificate failed; tau_2 = %s" % render(t2), file=sys.stderr)
+        return EXIT_MISMATCH
+    print(render(sums[-1]))
     return EXIT_OK
 
 
 def cmd_casson(args):
     exp = default_expansion(args.genus)
     entries = _load_entries(args.file, args.genus)
-    print(twist_audit(entries, exp).render())
+    (t2,) = twist_sum(exp, entries, 4)
+    print(twist_audit(entries, t2).render())
     return EXIT_OK
 
 
@@ -122,10 +120,9 @@ def verify_psi_checks():
     exp = default_expansion(2)
     entries = P.psi_twist_entries()
 
-    t2 = tau2(exp, entries)
+    t2, t3 = twist_sum(exp, entries, 5)
     yield "tau2_psi_vanishes", t2.is_zero(), render(t2)
 
-    t3 = tau3(exp, entries)
     full = eta(P.expected_tau3())
     yield "tau3_matches_tree_sum", t3 == full, render(t3 - full)
     compact = eta(P.expected_tau3_compact())
@@ -142,7 +139,7 @@ def verify_psi_checks():
     lo = eta(P.lemma_odot_combination())
     yield "lemma_odot_decomposition", lt == lo, render(lt - lo)
 
-    report = twist_audit(entries, exp)
+    report = twist_audit(entries, t2)
     casson_ok = (
         report.d_value == -24
         and report.d_prime_value == 0

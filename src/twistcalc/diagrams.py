@@ -14,20 +14,22 @@ and a (.) b ("odot", half of the symmetric degree-2 tree) to
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
 from . import tensor as T
-from .surface import omega
+from .surface import HVector, omega
 
 
+@dataclass(frozen=True, slots=True)
 class TreeDiagram:
     """A labeled caterpillar tree; degree = number of trivalent vertices."""
 
-    __slots__ = ("labels",)
+    labels: tuple
 
-    def __init__(self, labels):
-        labels = tuple(labels)
+    def __post_init__(self):
+        labels = tuple(self.labels)
         if len(labels) not in (3, 4, 5):
             raise T.DomainError("trees carry 3, 4 or 5 leaves")
         lengths = {len(v) for v in labels}
@@ -35,45 +37,22 @@ class TreeDiagram:
             raise T.DomainError("leaf labels must share an even length")
         object.__setattr__(self, "labels", labels)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("TreeDiagram is immutable")
-
     @property
     def degree(self):
         return len(self.labels) - 2
 
-    def __eq__(self, other):
-        if not isinstance(other, TreeDiagram):
-            return NotImplemented
-        return self.labels == other.labels
 
-    def __hash__(self):
-        return hash(self.labels)
-
-
+@dataclass(frozen=True, slots=True)
 class OdotSymbol:
     """The half-symmetric degree-2 element u (.) v."""
 
-    __slots__ = ("u", "v")
-
-    def __init__(self, u, v):
-        if len(u) != len(v):
-            raise T.DomainError("odot labels must share a length")
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "v", v)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OdotSymbol is immutable")
-
+    u: HVector
+    v: HVector
     degree = 2
 
-    def __eq__(self, other):
-        if not isinstance(other, OdotSymbol):
-            return NotImplemented
-        return (self.u, self.v) == (other.u, other.v)
-
-    def __hash__(self):
-        return hash((self.u, self.v))
+    def __post_init__(self):
+        if len(self.u) != len(self.v):
+            raise T.DomainError("odot labels must share a length")
 
 
 class DiagramSum:

@@ -2,8 +2,9 @@
 
 L_k evaluates the degree-k part of (1/2) N(l(x)^2) on a null-homologous
 barcode, reading l = log theta only through degree k-2 and pairing the
-symmetric summands N(l_i l_{k-i}) = N(l_{k-i} l_i); tau2 and tau3 sum
-L_4 / L_5 over a signed list of twists.
+symmetric summands N(l_i l_{k-i}) = N(l_{k-i} l_i).  twist_sum folds a
+signed twist list into sum c L_4 (tau_2) and sum c L_5 (tau_3 when tau_2
+vanishes), reading both from one log theta per twist.
 A homogeneous tensor is itself a derivation, read as a Hom(H, .) map
 through the duality x -> omega(x, -).
 """
@@ -33,6 +34,38 @@ class TwistEntry:
         object.__setattr__(self, "barcode", tuple(self.barcode))
 
 
+def _log_parts(exp, bc, k):
+    """The homogeneous parts l_0, ..., l_{k-2} of l = log(theta(bc)).
+
+    theta and log are evaluated at degree k-2, the last one L_k reads; the
+    parts are lifted to the output truncation exp.trunc.
+    """
+    if not 4 <= k <= exp.trunc:
+        raise T.DomainError("L_k needs 4 <= k <= truncation degree")
+    l = log_theta(exp, bc, k - 2)
+    parts = [
+        T._tensor(exp.g, exp.trunc, {w: c for w, c in l.num.items() if len(w) == i}, l.den)
+        for i in range(k - 1)
+    ]
+    if not parts[1].is_zero():
+        raise T.DomainError("barcode is not null-homologous")
+    return parts
+
+
+def _kk(parts, k):
+    """The paired Kawazumi-Kuno sum of L_k from the parts of _log_parts.
+
+    Reads parts[2..k-2] only, so parts taken for a higher degree serve too.
+    """
+    res = T.Tensor.zero(parts[0].g, parts[0].trunc)
+    for i in range(2, (k + 1) // 2):
+        res = res + T.cyclicize(T.product(parts[i], parts[k - i]))
+    if k % 2 == 0:
+        half = parts[k // 2]
+        res = res + T.cyclicize(T.product(half, half)).scale(Fraction(1, 2))
+    return res
+
+
 def L_k(exp, bc, k):
     """Degree-k part of the Kawazumi-Kuno tensor for a null-homologous barcode.
 
@@ -42,41 +75,21 @@ def L_k(exp, bc, k):
     N(xy) = N(yx) for homogeneous x, y, the summands i and k-i are paired:
     L_k = sum_{2 <= i < k-i} N(l_i l_{k-i}) + [k even] (1/2) N(l_{k/2}^2).
     """
-    if not 4 <= k <= exp.trunc:
-        raise T.DomainError("L_k needs 4 <= k <= truncation degree")
-    l = log_theta(exp, bc, k - 2)
-    # Lift the homogeneous parts to the output truncation exp.trunc.
-    parts = [
-        T._tensor(exp.g, exp.trunc, {w: c for w, c in l.num.items() if len(w) == i}, l.den)
-        for i in range(k - 1)
-    ]
-    if not parts[1].is_zero():
-        raise T.DomainError("barcode is not null-homologous")
-    res = T.Tensor.zero(exp.g, exp.trunc)
-    for i in range(2, (k + 1) // 2):
-        res = res + T.cyclicize(T.product(parts[i], parts[k - i]))
-    if k % 2 == 0:
-        half = parts[k // 2]
-        res = res + T.cyclicize(T.product(half, half)).scale(Fraction(1, 2))
-    return res
+    return _kk(_log_parts(exp, bc, k), k)
 
 
 def twist_sum(exp, twists, k):
-    """Signed sum of L_k over a twist list."""
-    res = T.Tensor.zero(exp.g, exp.trunc)
+    """The signed sums [sum c L_4, ..., sum c L_k] over a twist list.
+
+    Each twist's log theta is evaluated once, at degree k-2, and every L_j
+    with j <= k is read from it.  The first sum is tau_2 of the product;
+    the second, sum c L_5, is its tau_3 only when the first vanishes.
+    """
+    sums = [T.Tensor.zero(exp.g, exp.trunc) for _ in range(4, k + 1)]
     for entry in twists:
-        res = res + L_k(exp, entry.barcode, k).scale(entry.coeff)
-    return res
-
-
-def tau2(exp, twists):
-    """tau_2 of a product of BSCC twists: signed sum of L_4."""
-    return twist_sum(exp, twists, 4)
-
-
-def tau3(exp, twists):
-    """Signed sum of L_5; equals tau_3 of the product only when tau2 vanishes."""
-    return twist_sum(exp, twists, 5)
+        parts = _log_parts(exp, entry.barcode, k)
+        sums = [s + _kk(parts, j).scale(entry.coeff) for j, s in enumerate(sums, start=4)]
+    return sums
 
 
 # -- derivations -------------------------------------------------------

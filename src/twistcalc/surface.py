@@ -6,6 +6,8 @@ A barcode is a sequence of nonzero integers k with |k| <= 2g; the entry
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 from .tensor import DomainError
 
 
@@ -13,20 +15,14 @@ class BarcodeError(ValueError):
     """Raised for barcode entries outside the allowed range."""
 
 
+@dataclass(frozen=True, slots=True, repr=False)
 class HVector:
     """Integer vector of length 2g in the homology basis (a_1..a_g, b_1..b_g)."""
 
-    __slots__ = ("coords",)
+    coords: tuple
 
-    def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HVector is immutable")
-
-    @classmethod
-    def zero(cls, g):
-        return cls((0,) * (2 * g))
+    def __post_init__(self):
+        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
 
     @classmethod
     def basis(cls, g, idx):
@@ -37,14 +33,6 @@ class HVector:
 
     def __len__(self):
         return len(self.coords)
-
-    def __eq__(self, other):
-        if not isinstance(other, HVector):
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash(self.coords)
 
     def __add__(self, other):
         if len(self.coords) != len(other.coords):

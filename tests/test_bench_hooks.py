@@ -1,12 +1,15 @@
 """The benchmark's tracer wraps twistcalc functions by name; each must exist.
 
 perfbench/tracing.py lists the traced functions per module in ``LAYERS``.
-A renamed or deleted function would otherwise surface only when the
-benchmark itself runs.
+Its ``COUNTERS`` read call arguments by position.  A renamed or deleted
+function, or a reordered parameter, would otherwise surface only when the
+benchmark itself runs, or not at all: a counter would silently read the
+wrong argument.
 """
 
 import importlib
 import importlib.util
+import inspect
 import sys
 from pathlib import Path
 
@@ -48,3 +51,28 @@ def test_every_traced_layer_resolves():
             if not found:
                 missing.append("%s.%s" % (modname, qual))
     assert missing == []
+
+
+def positional(fn):
+    kinds = (inspect.Parameter.POSITIONAL_ONLY, inspect.Parameter.POSITIONAL_OR_KEYWORD)
+    return [p.name for p in inspect.signature(fn).parameters.values() if p.kind in kinds]
+
+
+def test_counters_read_the_arguments_they_name():
+    counters = load_tracing().COUNTERS
+    modules = fresh_twistcalc_modules(["tensor", "expansion", "johnson", "diagrams"])
+    # args[2] of L_k labels calls_k4/calls_k5.
+    assert positional(modules["johnson"].L_k)[2] == "k"
+    # args[1] of theta is the barcode whose letters are counted.
+    assert positional(modules["expansion"].theta)[1] == "bc"
+    # product is unpacked as x, y = args.
+    assert len(positional(modules["tensor"].product)) == 2
+    # args[0] of eta is the DiagramSum whose nodes are counted.
+    assert positional(modules["diagrams"].eta)[0] == "d"
+    assert set(counters) == {
+        "tensor.product",
+        "tensor.log_series",
+        "expansion.theta",
+        "johnson.L_k",
+        "diagrams.eta",
+    }

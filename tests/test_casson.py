@@ -12,7 +12,7 @@ from twistcalc.casson import (
     twist_audit,
 )
 from twistcalc.diagrams import morita_tau2, odot, tree
-from twistcalc.johnson import TwistEntry
+from twistcalc.johnson import TwistEntry, twist_sum
 from twistcalc.psi_data import load_psi, psi_twist_entries, spine_pairs
 from twistcalc.surface import HVector, commutator_barcode
 from twistcalc.tensor import DomainError
@@ -28,6 +28,11 @@ GAMMA2 = commutator_barcode([3], [-4]) + commutator_barcode([1], [-2])
 
 GENUS1 = TwistEntry(1, 1, S1)
 GENUS2 = TwistEntry(1, 2, GAMMA2)
+
+
+def tau2(exp, twists):
+    (t2,) = twist_sum(exp, twists, 4)
+    return t2
 
 
 # -- d and d' -----------------------------------------------------------
@@ -92,28 +97,32 @@ def test_dbar_prime_per_dataset_twist():
 
 
 def test_lambda_of_psi(exp_g2):
-    assert lambda_J3(exp_g2, psi_twist_entries()) == 1
+    psi = psi_twist_entries()
+    assert lambda_J3(tau2(exp_g2, psi), psi) == 1
 
 
 def test_lambda_of_empty_list(exp_g2):
-    assert lambda_J3(exp_g2, []) == 0
+    assert lambda_J3(tau2(exp_g2, []), []) == 0
 
 
 def test_lambda_additive(exp_g2):
     psi = psi_twist_entries()
-    assert lambda_J3(exp_g2, psi + psi) == 2
+    assert lambda_J3(tau2(exp_g2, psi + psi), psi + psi) == 2
 
 
 def test_lambda_requires_certificate(exp_g2):
-    with pytest.raises(CertificateError):
-        lambda_J3(exp_g2, [GENUS1])
+    t2 = tau2(exp_g2, [GENUS1])
+    with pytest.raises(CertificateError) as err:
+        lambda_J3(t2, [GENUS1])
+    assert err.value.tau2_value == t2
 
 
 # -- twist audit -------------------------------------------------------------
 
 
 def test_audit_of_psi(exp_g2):
-    report = twist_audit(psi_twist_entries(), exp_g2)
+    psi = psi_twist_entries()
+    report = twist_audit(psi, tau2(exp_g2, psi))
     assert report.n_genus1 == 10
     assert report.n_genus2 == -3
     assert report.lambda_value == 1
@@ -141,7 +150,7 @@ def test_audit_matches_direct_counts():
 
 
 def test_audit_omits_lambda_without_certificate(exp_g2):
-    report = twist_audit([GENUS1], exp_g2)
+    report = twist_audit([GENUS1], tau2(exp_g2, [GENUS1]))
     assert report.lambda_value is None
     assert "lambda" not in report.render()
 

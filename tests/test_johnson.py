@@ -10,11 +10,10 @@ from twistcalc.johnson import (
     TwistEntry,
     apply_derivation,
     derivation_bracket,
-    tau2,
-    tau3,
+    twist_sum,
 )
 from twistcalc.surface import HVector, commutator_barcode, inverse_barcode
-from twistcalc.psi_data import load_psi
+from twistcalc.psi_data import load_psi, psi_twist_entries
 from twistcalc.tensor import (
     DegreeMismatchError,
     DomainError,
@@ -124,12 +123,39 @@ def test_L_k_concatenation_squares(exp_g2):
 
 def test_twist_exponent_is_linear(exp_g2):
     for n in (2, 3):
-        assert tau2(exp_g2, [TwistEntry(n, 1, S1)]) == L_k(exp_g2, S1, 4).scale(n)
+        assert twist_sum(exp_g2, [TwistEntry(n, 1, S1)], 4) == [L_k(exp_g2, S1, 4).scale(n)]
 
 
 def test_tau2_of_empty_list(exp_g2):
-    assert tau2(exp_g2, []).is_zero()
-    assert tau3(exp_g2, []).is_zero()
+    assert twist_sum(exp_g2, [], 4) == [Tensor.zero(G, N)]
+    assert twist_sum(exp_g2, [], 5) == [Tensor.zero(G, N)] * 2
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_twist_sum_matches_per_twist_L_k(g):
+    # The fold reads L_4 and L_5 from one log theta per twist; the reference
+    # sums L_k twist by twist, each from its own log theta at degree k-2.
+    exp = default_expansion(g, N)
+    rng = rng_for("twist-sum-%d" % g)
+    lists = [
+        [
+            TwistEntry(rng.choice([-3, -2, -1, 1, 2, 3]), 1, random_null_homologous_barcode(rng, g))
+            for _ in range(rng.randint(1, 3))
+        ]
+        for _ in range(3)
+    ]
+    if g == G:
+        lists.append(psi_twist_entries())
+    for twists in lists:
+        sums = twist_sum(exp, twists, 5)
+        assert len(sums) == 2
+        for k, value in zip((4, 5), sums):
+            expected = Tensor.zero(g, N)
+            for entry in twists:
+                expected = expected + L_k(exp, entry.barcode, k).scale(entry.coeff)
+            assert value == expected
+        assert twist_sum(exp, twists, 4) == sums[:1]
+    assert twist_sum(exp, [], 5) == [Tensor.zero(g, N)] * 2
 
 
 # -- derivations ----------------------------------------------------------

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import gcd, lcm
+
 import pytest
 
 from twistcalc.expansion import log_theta
@@ -97,3 +100,50 @@ def test_twist_entries_match_dataset():
             tw.genus,
             tw.barcode,
         )
+
+
+def _kernel(columns):
+    """Rank and kernel basis of the matrix with the given columns, in exact arithmetic."""
+    rows = sorted({w for col in columns for w in col})
+    m = [[Fraction(col.get(w, 0)) for col in columns] for w in rows]
+    pivots = []
+    r = 0
+    for c in range(len(columns)):
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [x / m[r][c] for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [x - f * y for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+    kernel = []
+    for free in (c for c in range(len(columns)) if c not in pivots):
+        v = [Fraction(0)] * len(columns)
+        v[free] = Fraction(1)
+        for row, c in enumerate(pivots):
+            v[c] = -m[row][free]
+        kernel.append(v)
+    return len(pivots), kernel
+
+
+def test_coefficients_span_the_L4_kernel(exp_g2):
+    # tau2(psi) = 0 determines psi's coefficient column: the per-twist L_4
+    # tensors have a one-dimensional linear relation, the published one.
+    twists = load_psi()
+    columns = []
+    for tw in twists:
+        t = L_k(exp_g2, tw.barcode, 4)
+        columns.append({w: Fraction(c, t.den) for w, c in t.num.items()})
+    rank, kernel = _kernel(columns)
+    assert len({w for col in columns for w in col}) == 204
+    assert rank == 15
+    (v,) = kernel
+    scale = lcm(*(x.denominator for x in v))
+    ints = [int(x * scale) for x in v]
+    primitive = tuple(x // gcd(*ints) for x in ints)
+    coeffs = tuple(tw.coeff for tw in twists)
+    assert primitive in (coeffs, tuple(-x for x in coeffs))
