@@ -9,7 +9,8 @@ eta sends a tree to the cyclicization of a bracket reading:
     degree 3, leaves (a,b,c,d,e): N( [a,b] [c,[d,e]] )
 
 and a (.) b ("odot", half of the symmetric degree-2 tree) to
-(1/2) N( [a,b] [a,b] ).
+(1/2) N( [a,b] [a,b] ).  N is linear, so eta of a DiagramSum sums the
+readings with their coefficients and cyclicizes once.
 """
 
 from __future__ import annotations
@@ -116,43 +117,45 @@ def _hv_tensor(v, g, trunc):
 
 
 def _eta_node(node, g, trunc):
+    """The bracket reading of a node, before N."""
     if isinstance(node, OdotSymbol):
         u = _hv_tensor(node.u, g, trunc)
         v = _hv_tensor(node.v, g, trunc)
         uv = T.bracket(u, v)
-        return T.cyclicize(T.product(uv, uv)).scale(Fraction(1, 2))
+        return T.product(uv, uv).scale(Fraction(1, 2))
     labels = [_hv_tensor(v, g, trunc) for v in node.labels]
     if node.degree == 1:
         # Rooting at the first leaf, the remaining two read bracketed in
         # reversed order; this sign choice is what balances the published
         # bracket decomposition end to end.
         a, b, c = labels
-        return T.cyclicize(T.product(a, T.bracket(c, b)))
+        return T.product(a, T.bracket(c, b))
     if node.degree == 2:
         a, b, c, d = labels
-        return T.cyclicize(T.product(T.bracket(a, b), T.bracket(c, d)))
+        return T.product(T.bracket(a, b), T.bracket(c, d))
     a, b, c, d, e = labels
-    return T.cyclicize(T.product(T.bracket(a, b), T.bracket(c, T.bracket(d, e))))
+    return T.product(T.bracket(a, b), T.bracket(c, T.bracket(d, e)))
 
 
 def eta(d, trunc=5, g=None):
     """Expand a DiagramSum into the tensor algebra over genus g.
 
     With g None the genus is read from the labels of the first node.  Raises
-    DegreeMismatchError when a node's labels have another genus.
+    DegreeMismatchError when a node's labels have another genus.  N is
+    linear, so the readings are summed first and cyclicized once.
     """
     if g is None:
         some = next(iter(d.items), None)
         if some is None:
             raise T.DomainError("cannot infer the genus of an empty DiagramSum")
         g = _node_genus(some)
-    res = T.Tensor.zero(g, trunc)
-    for node, coeff in d.items.items():
+    for node in d.items:
         h = _node_genus(node)
         if h != g:
             raise T.DegreeMismatchError("diagram labels have genus %d, not %d" % (h, g))
-        res = res + _eta_node(node, g, trunc).scale(coeff)
-    return res
+    return T.cyclicize(
+        T.combination(g, trunc, ((c, _eta_node(node, g, trunc)) for node, c in d.items.items()))
+    )
 
 
 def _node_genus(node):

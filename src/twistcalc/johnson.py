@@ -4,7 +4,8 @@ L_k evaluates the degree-k part of (1/2) N(l(x)^2) on a null-homologous
 barcode, reading l = log theta only through degree k-2 and pairing the
 symmetric summands N(l_i l_{k-i}) = N(l_{k-i} l_i).  twist_sum folds a
 signed twist list into sum c L_4 (tau_2) and sum c L_5 (tau_3 when tau_2
-vanishes), reading both from one log theta per twist.
+vanishes), reading both from one log theta per twist; as N is linear, it
+sums the twists' products before N and cyclicizes once per degree.
 A homogeneous tensor is itself a derivation, read as a Hom(H, .) map
 through the duality x -> omega(x, -).
 """
@@ -34,14 +35,18 @@ class TwistEntry:
         object.__setattr__(self, "barcode", tuple(self.barcode))
 
 
+def _check_degree(exp, k):
+    if not 4 <= k <= exp.trunc:
+        raise T.DomainError("L_k needs 4 <= k <= truncation degree")
+
+
 def _log_parts(exp, bc, k):
     """The homogeneous parts l_0, ..., l_{k-2} of l = log(theta(bc)).
 
     theta and log are evaluated at degree k-2, the last one L_k reads; the
     parts are lifted to the output truncation exp.trunc.
     """
-    if not 4 <= k <= exp.trunc:
-        raise T.DomainError("L_k needs 4 <= k <= truncation degree")
+    _check_degree(exp, k)
     l = log_theta(exp, bc, k - 2)
     parts = [
         T._tensor(exp.g, exp.trunc, {w: c for w, c in l.num.items() if len(w) == i}, l.den)
@@ -52,18 +57,19 @@ def _log_parts(exp, bc, k):
     return parts
 
 
-def _kk(parts, k):
-    """The paired Kawazumi-Kuno sum of L_k from the parts of _log_parts.
+def _pairs(parts, k):
+    """The paired Kawazumi-Kuno sum of L_k before N, from the parts of _log_parts.
 
     Reads parts[2..k-2] only, so parts taken for a higher degree serve too.
     """
-    res = T.Tensor.zero(parts[0].g, parts[0].trunc)
-    for i in range(2, (k + 1) // 2):
-        res = res + T.cyclicize(T.product(parts[i], parts[k - i]))
-    if k % 2 == 0:
-        half = parts[k // 2]
-        res = res + T.cyclicize(T.product(half, half)).scale(Fraction(1, 2))
-    return res
+    return T.combination(
+        parts[0].g,
+        parts[0].trunc,
+        (
+            (Fraction(1, 2) if 2 * i == k else 1, T.product(parts[i], parts[k - i]))
+            for i in range(2, k // 2 + 1)
+        ),
+    )
 
 
 def L_k(exp, bc, k):
@@ -73,23 +79,26 @@ def L_k(exp, bc, k):
     where l_i is the degree-i part of l = log(theta(bc)); it reads l only
     through degree k-2, so theta and log are evaluated at that degree.  As
     N(xy) = N(yx) for homogeneous x, y, the summands i and k-i are paired:
-    L_k = sum_{2 <= i < k-i} N(l_i l_{k-i}) + [k even] (1/2) N(l_{k/2}^2).
+    L_k = N(sum_{2 <= i < k-i} l_i l_{k-i} + [k even] (1/2) l_{k/2}^2).
     """
-    return _kk(_log_parts(exp, bc, k), k)
+    return T.cyclicize(_pairs(_log_parts(exp, bc, k), k))
 
 
 def twist_sum(exp, twists, k):
     """The signed sums [sum c L_4, ..., sum c L_k] over a twist list.
 
     Each twist's log theta is evaluated once, at degree k-2, and every L_j
-    with j <= k is read from it.  The first sum is tau_2 of the product;
-    the second, sum c L_5, is its tau_3 only when the first vanishes.
+    with j <= k is read from it.  N is linear, so each sum is
+    N(sum c pairs_j), cyclicized once per degree j rather than once per
+    twist.  The first sum is tau_2 of the product; the second, sum c L_5,
+    is its tau_3 only when the first vanishes.
     """
-    sums = [T.Tensor.zero(exp.g, exp.trunc) for _ in range(4, k + 1)]
-    for entry in twists:
-        parts = _log_parts(exp, entry.barcode, k)
-        sums = [s + _kk(parts, j).scale(entry.coeff) for j, s in enumerate(sums, start=4)]
-    return sums
+    _check_degree(exp, k)
+    logs = [(entry.coeff, _log_parts(exp, entry.barcode, k)) for entry in twists]
+    return [
+        T.cyclicize(T.combination(exp.g, exp.trunc, ((c, _pairs(p, j)) for c, p in logs)))
+        for j in range(4, k + 1)
+    ]
 
 
 # -- derivations -------------------------------------------------------
@@ -104,7 +113,7 @@ def _leibniz(d, t, start):
     sends h to omega(u, h) r, nonzero only when h is the dual partner of the
     letter u.
     """
-    d._check_compatible(t)
+    T._check_compatible(d.g, d.trunc, t)
     degrees = {len(w) for w in d.num}
     if len(degrees) > 1:
         raise T.DomainError("derivation tensor must be homogeneous")

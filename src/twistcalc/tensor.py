@@ -110,18 +110,10 @@ class Tensor:
 
     # -- linear structure ---------------------------------------------
 
-    def _check_compatible(self, other):
-        if self.g != other.g:
-            raise DegreeMismatchError("tensors live over different genera")
-        if self.trunc != other.trunc:
-            raise DegreeMismatchError(
-                "truncation degrees differ: %d vs %d" % (self.trunc, other.trunc)
-            )
-
     def __add__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return _combine(self, other, 1)
+        return combination(self.g, self.trunc, ((1, self), (1, other)))
 
     def __neg__(self):
         return _tensor(self.g, self.trunc, {w: -c for w, c in self.num.items()}, self.den)
@@ -129,7 +121,7 @@ class Tensor:
     def __sub__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
-        return _combine(self, other, -1)
+        return combination(self.g, self.trunc, ((1, self), (-1, other)))
 
     def scale(self, scalar):
         s = Fraction(scalar)
@@ -196,16 +188,40 @@ class _Terms(Mapping):
         return repr(dict(self.items()))
 
 
-def _combine(x, y, sign):
-    """x + sign * y over the common denominator lcm(x.den, y.den)."""
-    x._check_compatible(y)
-    den = lcm(x.den, y.den)
-    mx = den // x.den
-    my = sign * (den // y.den)
-    num = {w: c * mx for w, c in x.num.items()}
-    for w, c in y.num.items():
-        num[w] = num.get(w, 0) + c * my
-    return _tensor(x.g, x.trunc, num, den)
+def _check_compatible(g, trunc, t):
+    """Raise DegreeMismatchError unless t has genus g and truncation trunc."""
+    if t.g != g:
+        raise DegreeMismatchError("tensors live over different genera")
+    if t.trunc != trunc:
+        raise DegreeMismatchError("truncation degrees differ: %d vs %d" % (trunc, t.trunc))
+
+
+def combination(g, trunc, terms):
+    """The linear combination sum c t over an iterable of (c, t) pairs.
+
+    Each c is an int or a Fraction and each t a tensor of genus g and
+    truncation trunc.  The iterable is read once; int numerators accumulate
+    in place in one dict over one common denominator, which grows to the lcm
+    with each new factor t.den * c.denominator, rescaling the entries
+    already stored, so no partial sum is copied.
+    """
+    num = {}
+    den = 1
+    for c, t in terms:
+        _check_compatible(g, trunc, t)
+        if not c or not t.num:
+            continue
+        tden = t.den * c.denominator
+        new = lcm(den, tden)
+        if new != den:
+            m = new // den
+            for w in num:
+                num[w] *= m
+            den = new
+        f = c.numerator * (den // tden)
+        for w, v in t.num.items():
+            num[w] = num.get(w, 0) + v * f
+    return _tensor(g, trunc, num, den)
 
 
 def product(x, y):
@@ -214,7 +230,7 @@ def product(x, y):
     y's terms are bucketed by degree once, so each word of x meets only the
     words of y that fit in the room the truncation leaves it.
     """
-    x._check_compatible(y)
+    _check_compatible(x.g, x.trunc, y)
     trunc = x.trunc
     by_degree = [[] for _ in range(trunc + 1)]
     for wy, cy in y.num.items():
@@ -258,17 +274,22 @@ def truncate(x, k):
     return _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if len(w) <= k}, x.den)
 
 
+def _powers(x):
+    """(i, x^i) for i = 0, 1, ... up to the truncation, ending before the first zero power."""
+    power = _tensor(x.g, x.trunc, {(): 1})
+    yield 0, power
+    for i in range(1, x.trunc + 1):
+        power = product(power, x)
+        if power.is_zero():
+            return
+        yield i, power
+
+
 def exp_series(x):
     """Truncated exponential sum x^i / i! of a tensor with zero constant term."""
     if () in x.num:
         raise DomainError("exp_series requires a zero constant term")
-    res = power = _tensor(x.g, x.trunc, {(): 1})
-    for i in range(1, x.trunc + 1):
-        power = product(power, x)
-        if power.is_zero():
-            break
-        res = res + power.scale(Fraction(1, factorial(i)))
-    return res
+    return combination(x.g, x.trunc, ((Fraction(1, factorial(i)), p) for i, p in _powers(x)))
 
 
 def log_series(x):
@@ -276,14 +297,9 @@ def log_series(x):
     if x.num.get(()) != x.den:
         raise DomainError("log_series requires constant term exactly 1")
     d = _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if w}, x.den)
-    res = _tensor(x.g, x.trunc, {})
-    power = _tensor(x.g, x.trunc, {(): 1})
-    for i in range(1, x.trunc + 1):
-        power = product(power, d)
-        if power.is_zero():
-            break
-        res = res + power.scale(Fraction((-1) ** (i + 1), i))
-    return res
+    return combination(
+        x.g, x.trunc, ((Fraction((-1) ** (i + 1), i), p) for i, p in _powers(d) if i)
+    )
 
 
 def dynkin_defect(x):

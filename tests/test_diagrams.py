@@ -6,7 +6,7 @@ import pytest
 from conftest import rng_for
 from twistcalc.diagrams import DiagramSum, eta, kappa, morita_tau2, odot, tree
 from twistcalc.surface import HVector
-from twistcalc.tensor import DegreeMismatchError, DomainError, Tensor
+from twistcalc.tensor import DegreeMismatchError, DomainError, Tensor, bracket, cyclicize, product
 
 G = 2
 N = 5
@@ -58,8 +58,6 @@ def test_eta_ihx_vanishes():
 
 def test_eta_degree_one_reading():
     # eta(T(x,y,z)) = x (x) [z,y] + y (x) [x,z] + z (x) [y,x]
-    from twistcalc.tensor import Tensor, bracket, product, cyclicize
-
     a1 = Tensor.generator(G, N, 1)
     b1 = Tensor.generator(G, N, 3)
     a2 = Tensor.generator(G, N, 2)
@@ -88,6 +86,41 @@ def test_eta_rejects_labels_of_another_genus():
     genus3 = [HVector.basis(3, i) for i in (1, 2, 4, 5)]
     with pytest.raises(DegreeMismatchError):
         eta(tree(A1, A2, B1, B2) + tree(*genus3), N)
+
+
+def module_reading(labels, g):
+    """The bracket reading of the module docstring, before N, from public products."""
+    hv = [Tensor(g, N, {(i + 1,): c for i, c in enumerate(v.coords)}) for v in labels]
+    if len(hv) == 2:
+        ab = bracket(*hv)
+        return product(ab, ab).scale(Fraction(1, 2))
+    if len(hv) == 3:
+        a, b, c = hv
+        return product(a, bracket(c, b))
+    if len(hv) == 4:
+        a, b, c, d = hv
+        return product(bracket(a, b), bracket(c, d))
+    a, b, c, d, e = hv
+    return product(bracket(a, b), bracket(c, bracket(d, e)))
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_eta_is_the_sum_of_cyclicized_readings(g):
+    # eta cyclicizes the sum of the readings once; the reference cyclicizes
+    # each node's reading and sums the rational coefficients node by node.
+    rng = rng_for("eta-route-%d" % g)
+    for _ in range(12):
+        d, terms = DiagramSum(), {}
+        for _ in range(rng.randint(1, 6)):
+            labels = [
+                HVector(rng.choice((-2, -1, 0, 0, 0, 1)) for _ in range(2 * g))
+                for _ in range(rng.choice([2, 3, 4, 5]))
+            ]
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+            d = d + c * (odot(*labels) if len(labels) == 2 else tree(*labels))
+            for w, v in cyclicize(module_reading(labels, g)).terms.items():
+                terms[w] = terms.get(w, 0) + c * v
+        assert eta(d, N, g) == Tensor(g, N, terms)
 
 
 # -- odot ----------------------------------------------------------------

@@ -131,6 +131,15 @@ def test_tau2_of_empty_list(exp_g2):
     assert twist_sum(exp_g2, [], 5) == [Tensor.zero(G, N)] * 2
 
 
+def test_twist_sum_rejects_bad_degree(exp_g2):
+    # Also on an empty list, where no twist's log theta checks the degree;
+    # test_tau2_of_empty_list covers k = 4 and 5.
+    for twists in ([], [TwistEntry(1, 1, S1)]):
+        for k in (3, 6):
+            with pytest.raises(DomainError, match="L_k needs 4 <= k <= truncation degree"):
+                twist_sum(exp_g2, twists, k)
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_twist_sum_matches_per_twist_L_k(g):
     # The fold reads L_4 and L_5 from one log theta per twist; the reference

@@ -10,6 +10,7 @@ from twistcalc.tensor import (
     DomainError,
     Tensor,
     bracket,
+    combination,
     cyclicize,
     dynkin_defect,
     exp_series,
@@ -388,9 +389,28 @@ def test_kernel_matches_fraction_reference(g, trunc):
         for k in range(trunc + 1):
             cases.append((extract(x, k), {w: c for w, c in xd.items() if len(w) == k}))
             cases.append((truncate(x, k), {w: c for w, c in xd.items() if len(w) <= k}))
+        for n in range(5):
+            # int, zero and negative coefficients; mixed denominators make
+            # the common denominator grow from term to term.
+            pairs = [
+                (
+                    rng.choice([0, -1, 3, Fraction(rng.randint(-4, 4), rng.randint(1, 6))]),
+                    random_terms(rng, g, trunc),
+                )
+                for _ in range(n)
+            ]
+            want = {}
+            for c, d in pairs:
+                want = ref_lin(want, d, c)
+            got = combination(g, trunc, ((c, Tensor(g, trunc, d)) for c, d in pairs))
+            cases.append((got, want))
         for got, want in cases:
             assert_canonical(got)
             assert dict(got.terms) == ref_clean(want, trunc)
+    assert combination(g, trunc, iter(())) == Tensor.zero(g, trunc)
+    for other in (Tensor.zero(g + 1, trunc), Tensor.zero(g, trunc + 1)):
+        with pytest.raises(DegreeMismatchError):
+            combination(g, trunc, [(1, Tensor.one(g, trunc)), (0, other)])
 
 
 # -- canonical text ---------------------------------------------------------
