@@ -5,6 +5,7 @@ from .tensor import (
     DegreeMismatchError,
     DomainError,
     Tensor,
+    antipode,
     bracket,
     cyclicize,
     dynkin_defect,

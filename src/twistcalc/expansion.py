@@ -2,7 +2,8 @@
 
 The default expansion is pinned in degree <= 3; its evaluation theta is a
 monoid map from words in pi_1 (given as barcodes) to the truncated tensor
-algebra.
+algebra.  The value of an inverse letter is the antipode of its letter's
+value.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ class SymplecticExpansion:
     """Log-values l(alpha_i), l(beta_i) of a symplectic expansion, 1-indexed.
 
     Immutable; the exponentials of the log-values, the letter values theta
-    evaluates with, are cached once for every degree 1..trunc.
+    evaluates with, are cached once for every degree 1..trunc.  Each
+    log-value l must satisfy antipode(l) = -l, as every Lie series does, so
+    that the inverse letter's value exp(-l) is antipode(exp(l)).
     """
 
     def __init__(self, g, trunc, log_alpha, log_beta):
@@ -27,18 +30,18 @@ class SymplecticExpansion:
         self.log_beta = list(log_beta)
         full = {}
         for idx, l in enumerate(self.log_alpha + self.log_beta, start=1):
+            if T.antipode(l) != -l:
+                raise T.DomainError(
+                    "log-value of generator %d (%s) fails antipode(l) = -l, "
+                    "which every Lie series satisfies" % (idx, T.generator_name(g, idx))
+                )
             full[idx, 1] = T.exp_series(l)
-            full[idx, -1] = T.exp_series(-l)
+            full[idx, -1] = T.antipode(full[idx, 1])
         # Truncation to degree d is an algebra map, so the letter values at
         # degree d are the full ones with their longer words dropped.
-        self._letters = {
-            d: {
-                key: T._tensor(g, d, {w: c for w, c in t.num.items() if len(w) <= d}, t.den)
-                for key, t in full.items()
-            }
-            for d in range(1, trunc)
-        }
-        self._letters[trunc] = full
+        self._letters = {trunc: full}
+        for d in range(trunc - 1, 0, -1):
+            self._letters[d] = {key: T._lower(t, d) for key, t in self._letters[d + 1].items()}
 
     def letter_values(self, degree):
         """theta of each letter at the given degree, keyed by (index, sign)."""

@@ -5,6 +5,10 @@ Words are tuples of generator indices.  A Tensor is a finitely supported
 map from words no longer than ``trunc`` to rationals, stored as Python int
 numerators over one positive common denominator, so that the arithmetic
 runs on integers; ``terms`` is the rational view of the same values.
+
+The full-degree series are nested evaluations: ``exp_series`` and
+``log_series`` run Horner's rule with each level at the truncation its outer
+factors leave it, and ``dynkin_defect`` brackets each right quotient once.
 """
 
 from __future__ import annotations
@@ -212,6 +216,11 @@ def combination(g, trunc, terms):
         if not c or not t.num:
             continue
         tden = t.den * c.denominator
+        if not num:
+            p = c.numerator
+            num = {w: v * p for w, v in t.num.items()}
+            den = tden
+            continue
         new = lcm(den, tden)
         if new != den:
             m = new // den
@@ -274,22 +283,43 @@ def truncate(x, k):
     return _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if len(w) <= k}, x.den)
 
 
-def _powers(x):
-    """(i, x^i) for i = 0, 1, ... up to the truncation, ending before the first zero power."""
-    power = _tensor(x.g, x.trunc, {(): 1})
-    yield 0, power
-    for i in range(1, x.trunc + 1):
-        power = product(power, x)
-        if power.is_zero():
-            return
-        yield i, power
+def _lower(x, k):
+    """The parts of x of degree <= k, as a tensor truncated at degree k."""
+    if k == x.trunc:
+        return x
+    return _tensor(x.g, k, {w: c for w, c in x.num.items() if len(w) <= k}, x.den)
+
+
+def _horner(x, coeff):
+    """sum_i coeff(i) x^i for x with zero constant term, as c_0 + x (c_1 + x (c_2 + ...)).
+
+    With m the lowest degree of x and n the truncation, x^i vanishes for
+    i > n // m, so the nesting starts there.  The level under j outer factors
+    of x only meets words of degree <= n - j m, so it is evaluated at that
+    truncation; truncation is an algebra map, so the result is exact.  Each
+    level is stored at the truncation of the product that reads it, and the
+    outermost at n.
+    """
+    g, n = x.g, x.trunc
+    m = min(map(len, x.num), default=n + 1)
+    top = n // m
+    c = coeff(top)
+    h = _tensor(g, min(n - top * m + m, n), {(): c.numerator}, c.denominator)
+    for i in range(top - 1, -1, -1):
+        t = n - i * m
+        p = product(_lower(x, t), h)
+        c = coeff(i)
+        num = {w: v * c.denominator for w, v in p.num.items()}
+        num[()] = c.numerator * p.den  # x has no constant term, so neither has p
+        h = _tensor(g, min(t + m, n), num, p.den * c.denominator)
+    return h
 
 
 def exp_series(x):
     """Truncated exponential sum x^i / i! of a tensor with zero constant term."""
     if () in x.num:
         raise DomainError("exp_series requires a zero constant term")
-    return combination(x.g, x.trunc, ((Fraction(1, factorial(i)), p) for i, p in _powers(x)))
+    return _horner(x, lambda i: Fraction(1, factorial(i)))
 
 
 def log_series(x):
@@ -297,28 +327,58 @@ def log_series(x):
     if x.num.get(()) != x.den:
         raise DomainError("log_series requires constant term exactly 1")
     d = _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if w}, x.den)
-    return combination(
-        x.g, x.trunc, ((Fraction((-1) ** (i + 1), i), p) for i, p in _powers(d) if i)
-    )
+    return _horner(d, lambda i: Fraction((-1) ** (i + 1), i) if i else 0)
+
+
+def antipode(x):
+    """The antipode: each word w goes to (-1)^|w| times w reversed.
+
+    It reverses products, so antipode(exp_series(l)) = exp_series(antipode(l)),
+    and it is -l on every Lie series l.
+    """
+    num = {w[::-1]: -c if len(w) % 2 else c for w, c in x.num.items()}
+    return _tensor(x.g, x.trunc, num, x.den)
+
+
+def _left_nested(part, n):
+    """beta of a dict of distinct degree-n words: each word w to [[...[w1,w2],...],wn].
+
+    beta(u a) = [beta(u), a], so the words are split by their last letter a
+    and beta is taken once of each right quotient, whose result has its
+    signed words merged and its zero coefficients dropped.
+    """
+    if n == 1:
+        return part
+    quotients = {}
+    for w, c in part.items():
+        quotients.setdefault(w[-1], {})[w[:-1]] = c
+    num = {}
+    for a, q in quotients.items():
+        for u, c in _left_nested(q, n - 1).items():
+            w = u + (a,)
+            num[w] = num.get(w, 0) + c
+            w = (a,) + u
+            num[w] = num.get(w, 0) - c
+    return {w: c for w, c in num.items() if c}
 
 
 def dynkin_defect(x):
     """Sum over degrees n of (beta(x_n) - n * x_n), where beta left-nests brackets.
 
-    Vanishes exactly when x is a Lie series degree by degree.  The bracket
-    [[...[x1,x2],...],xn] of a word expands to signed words: each later
-    letter goes to the right (+) or to the left (-) of the word so far.
+    Vanishes exactly when x is a Lie series degree by degree.
     """
     if () in x.num:
         raise DomainError("dynkin_defect requires a zero constant term")
+    parts = {}
+    for w, c in x.num.items():
+        if len(w) > 1:  # beta is the identity in degree 1
+            parts.setdefault(len(w), {})[w] = c
     num = {}
-    for word, coeff in x.num.items():
-        num[word] = num.get(word, 0) - len(word) * coeff
-        nested = [(word[:1], coeff)]
-        for idx in word[1:]:
-            nested = [p for w, c in nested for p in ((w + (idx,), c), ((idx,) + w, -c))]
-        for w, c in nested:
-            num[w] = num.get(w, 0) + c
+    for n, part in parts.items():
+        nested = _left_nested(part, n)
+        for w, c in part.items():
+            nested[w] = nested.get(w, 0) - n * c
+        num.update(nested)
     return _tensor(x.g, x.trunc, num, x.den)
 
 

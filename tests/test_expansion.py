@@ -3,13 +3,21 @@ from pathlib import Path
 import pytest
 
 from conftest import random_barcode, random_null_homologous_barcode, rng_for
-from twistcalc.expansion import default_expansion, log_theta, symplectic_defect, theta
+from twistcalc.expansion import (
+    SymplecticExpansion,
+    default_expansion,
+    log_theta,
+    symplectic_defect,
+    theta,
+)
 from twistcalc.surface import commutator_barcode, free_reduce
 from twistcalc.tensor import (
     DomainError,
     Tensor,
+    antipode,
     bracket,
     dynkin_defect,
+    exp_series,
     extract,
     product,
     render,
@@ -56,6 +64,39 @@ def test_log_values_are_lie_series():
     exp = default_expansion(2, 5)
     for t in exp.log_alpha + exp.log_beta:
         assert dynkin_defect(t).is_zero()
+
+
+def test_expansion_rejects_log_value_that_is_not_lie():
+    exp = default_expansion(1, 5)
+    a, b = gens(1, 5)
+    with pytest.raises(DomainError, match=r"generator 2 \(b1\)"):
+        SymplecticExpansion(1, 5, exp.log_alpha, [product(a[0], b[0])])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_inverse_letter_values_are_inverse(g):
+    exp = default_expansion(g, 5)
+    for degree in range(1, 6):
+        letters = exp.letter_values(degree)
+        for idx in range(1, 2 * g + 1):
+            assert product(letters[idx, 1], letters[idx, -1]) == Tensor.one(g, degree)
+
+
+def test_antipode_of_exp_is_exp_of_negative_on_lie_series():
+    rng = rng_for("antipode-lie")
+    g, trunc = 2, 5
+    a, b = gens(g, trunc)
+    letters = a + b
+    for _ in range(10):
+        l = Tensor.zero(g, trunc)
+        for _ in range(4):
+            x = rng.choice(letters)
+            for _ in range(rng.randint(0, 3)):
+                y = rng.choice(letters)
+                x = bracket(x, y) if rng.random() < 0.5 else bracket(y, x)
+            l = l + x.scale(rng.choice(["1/2", -1, 3, "-2/3"]))
+        assert antipode(l) == -l
+        assert antipode(exp_series(l)) == exp_series(-l)
 
 
 def test_expansion_rejects_bad_arguments():

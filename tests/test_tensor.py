@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+from itertools import product as word_product
 from math import factorial, gcd
 
 import pytest
@@ -9,6 +10,7 @@ from twistcalc.tensor import (
     DegreeMismatchError,
     DomainError,
     Tensor,
+    antipode,
     bracket,
     combination,
     cyclicize,
@@ -385,6 +387,7 @@ def test_kernel_matches_fraction_reference(g, trunc):
             (exp_series(x0), ref_lin({(): 1}, exp_ref, 1)),
             (log_series(Tensor.one(g, trunc) + x0), log_ref),
             (dynkin_defect(x0), ref_dynkin(x0d, trunc)),
+            (antipode(x), {w[::-1]: (-1) ** len(w) * c for w, c in xd.items()}),
         ]
         for k in range(trunc + 1):
             cases.append((extract(x, k), {w: c for w, c in xd.items() if len(w) == k}))
@@ -411,6 +414,50 @@ def test_kernel_matches_fraction_reference(g, trunc):
     for other in (Tensor.zero(g + 1, trunc), Tensor.zero(g, trunc + 1)):
         with pytest.raises(DegreeMismatchError):
             combination(g, trunc, [(1, Tensor.one(g, trunc)), (0, other)])
+
+
+@pytest.mark.parametrize("trunc", range(1, N + 1))
+@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("low", [2, 3])
+def test_series_match_fraction_reference_above_degree_one(low, g, trunc):
+    # The series' nesting depth is trunc // low and each level's truncation
+    # falls by low, so inputs whose lowest degree exceeds 1 check both.
+    rng = rng_for("series-%d-%d-%d" % (low, g, trunc))
+    for _ in range(4):
+        xd = {w: c for w, c in random_terms(rng, g, trunc).items() if len(w) >= low}
+        if low <= trunc:
+            xd[tuple(rng.randint(1, 2 * g) for _ in range(low))] = Fraction(rng.choice([-2, 1, 3]))
+        x = Tensor(g, trunc, xd)
+        exp_ref = ref_series(xd, trunc, lambda i: Fraction(1, factorial(i)))
+        log_ref = ref_series(xd, trunc, lambda i: Fraction((-1) ** (i + 1), i))
+        for got, want in (
+            (exp_series(x), ref_lin({(): 1}, exp_ref, 1)),
+            (log_series(Tensor.one(g, trunc) + x), log_ref),
+        ):
+            assert_canonical(got)
+            assert dict(got.terms) == ref_clean(want, trunc)
+
+
+def test_dynkin_defect_matches_fraction_reference_on_dense_parts():
+    # Every word of degree <= 4 at genus 2, so the words share their prefixes
+    # and the brackets of different words merge; the second tensor is a Lie
+    # series plus one word, so the nested brackets cancel almost everywhere.
+    g, trunc = 2, 4
+    rng = rng_for("dynkin-dense")
+    dense = {
+        w: Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+        for n in range(1, trunc + 1)
+        for w in word_product(range(1, 2 * g + 1), repeat=n)
+    }
+    gens = [gen(i, g, trunc) for i in range(1, 2 * g + 1)]
+    lie = Tensor.zero(g, trunc)
+    for u, v, w, z in word_product(gens, repeat=4):
+        lie = lie + bracket(bracket(bracket(u, v), w), z).scale(rng.randint(-3, 3))
+    lie = lie + words({(A1, B1, A2, B2): 1}, g, trunc)
+    for x in (Tensor(g, trunc, dense), lie):
+        got = dynkin_defect(x)
+        assert_canonical(got)
+        assert dict(got.terms) == ref_clean(ref_dynkin(dict(x.terms), trunc), trunc)
 
 
 # -- canonical text ---------------------------------------------------------
