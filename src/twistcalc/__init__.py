@@ -33,7 +33,7 @@ from .johnson import (
     derivation_bracket,
     twist_sum,
 )
-from .diagrams import DiagramSum, OdotSymbol, TreeDiagram, eta, kappa, morita_tau2, odot, tree
+from .diagrams import DiagramSum, TreeDiagram, eta, kappa, morita_tau2, odot, tree
 from .casson import (
     CassonReport,
     CertificateError,

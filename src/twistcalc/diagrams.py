@@ -1,26 +1,27 @@
 """Tree-like Jacobi diagrams of degree 1-3 and their tensor expansions.
 
 Trees are planar caterpillars with counterclockwise vertex orientation,
-given by their ordered leaf labels (3, 4 or 5 HVectors).  The expansion
-eta sends a tree to the cyclicization of a bracket reading:
+given by their ordered leaf labels (3, 4 or 5 HVectors).  The tree is the
+only node type: a (.) b ("odot") is half of the symmetric degree-2 tree,
+(1/2) T(a,b,a,b).  The expansion eta sends a tree to the cyclicization of
+a bracket reading:
 
     degree 1, leaves (a,b,c):     N( a [c,b] )
     degree 2, leaves (a,b,c,d):   N( [a,b] [c,d] )
     degree 3, leaves (a,b,c,d,e): N( [a,b] [c,[d,e]] )
 
-and a (.) b ("odot", half of the symmetric degree-2 tree) to
-(1/2) N( [a,b] [a,b] ).  N is linear, so eta of a DiagramSum sums the
-readings with their coefficients and cyclicizes once.
+N is linear, so eta of a DiagramSum sums the readings with their
+coefficients and cyclicizes once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 
 from . import tensor as T
-from .surface import HVector, omega
+from .surface import omega
 
 
 @dataclass(frozen=True, slots=True)
@@ -43,21 +44,8 @@ class TreeDiagram:
         return len(self.labels) - 2
 
 
-@dataclass(frozen=True, slots=True)
-class OdotSymbol:
-    """The half-symmetric degree-2 element u (.) v."""
-
-    u: HVector
-    v: HVector
-    degree = 2
-
-    def __post_init__(self):
-        if len(self.u) != len(self.v):
-            raise T.DomainError("odot labels must share a length")
-
-
 class DiagramSum:
-    """Finitely supported rational combination of trees and odot symbols.
+    """Finitely supported rational combination of trees.
 
     The constructor drops zero coefficients.
     """
@@ -107,8 +95,8 @@ def tree(*labels):
 
 
 def odot(u, v):
-    """u (.) v as a DiagramSum."""
-    return DiagramSum({OdotSymbol(u, v): 1})
+    """u (.) v = (1/2) T(u, v, u, v) as a DiagramSum."""
+    return DiagramSum({TreeDiagram((u, v, u, v)): Fraction(1, 2)})
 
 
 def _hv_tensor(v, g, trunc):
@@ -118,11 +106,6 @@ def _hv_tensor(v, g, trunc):
 
 def _eta_node(node, g, trunc):
     """The bracket reading of a node, before N."""
-    if isinstance(node, OdotSymbol):
-        u = _hv_tensor(node.u, g, trunc)
-        v = _hv_tensor(node.v, g, trunc)
-        uv = T.bracket(u, v)
-        return T.product(uv, uv).scale(Fraction(1, 2))
     labels = [_hv_tensor(v, g, trunc) for v in node.labels]
     if node.degree == 1:
         # Rooting at the first leaf, the remaining two read bracketed in
@@ -159,8 +142,6 @@ def eta(d, trunc=5, g=None):
 
 
 def _node_genus(node):
-    if isinstance(node, OdotSymbol):
-        return len(node.u) // 2
     return len(node.labels[0]) // 2
 
 
@@ -178,13 +159,9 @@ def morita_tau2(pairs):
             w, x = pairs[j]
             if any(omega(p, q) != 0 for p in (u, v) for q in (w, x)):
                 raise T.DomainError("pairs %d and %d are not orthogonal" % (j, i))
-    res = DiagramSum()
-    for u, v in pairs:
-        res = res + odot(u, v)
-    for i in range(len(pairs)):
-        for j in range(i + 1, len(pairs)):
-            res = res + tree(pairs[i][0], pairs[i][1], pairs[j][0], pairs[j][1])
-    return res
+    odots = (odot(u, v) for u, v in pairs)
+    trees = (tree(*p, *q) for p, q in combinations(pairs, 2))
+    return sum(chain(odots, trees), DiagramSum())
 
 
 # -- the mod-3 map kappa ------------------------------------------------
@@ -216,23 +193,27 @@ def _wedge4(vectors):
 
 
 def kappa(d):
-    """The map to Lambda^4(H/3H): odot symbols go to 0, trees to the wedge of labels.
+    """The map to Lambda^4(H/3H): a tree goes to the wedge of its labels.
 
     Defined on degree-2 DiagramSums only; returns a dict keyed by sorted
-    index 4-tuples with values in {1, 2} mod 3 (empty dict for zero).
+    index 4-tuples with values in {1, 2} mod 3 (empty dict for zero).  A
+    tree whose wedge vanishes, such as u (.) v = (1/2) T(u,v,u,v), is
+    skipped before its coefficient is reduced mod 3, so it contributes 0
+    whatever its coefficient.
     """
     out = {}
     for node, coeff in d.items.items():
         if node.degree != 2:
             raise T.DomainError("kappa is defined on degree-2 diagrams only")
-        if isinstance(node, OdotSymbol):
+        wedge = _wedge4(node.labels)
+        if not wedge:
             continue
         if coeff.denominator % 3 == 0:
             raise T.DomainError("coefficient not reducible mod 3")
         c = (coeff.numerator * pow(coeff.denominator, -1, 3)) % 3
         if c == 0:
             continue
-        for key, val in _wedge4(node.labels).items():
+        for key, val in wedge.items():
             total = (out.get(key, 0) + c * val) % 3
             if total == 0:
                 out.pop(key, None)

@@ -10,10 +10,8 @@ the commutators u v u^-1 v^-1, and its genus as the number of pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from . import diagrams as D
-from .diagrams import eta, odot, tree
+from .diagrams import DiagramSum, eta, odot, tree
 from .johnson import TwistEntry, derivation_bracket
 from .surface import HVector, barcode_homology, commutator_barcode, omega
 from .tensor import DomainError
@@ -101,10 +99,7 @@ def expected_tau3():
         (1, (B2, A2, B2, A2, A1)),
         (-1, (B2, A2, B2, A2, B1)),
     ]
-    res = D.DiagramSum()
-    for c, labels in terms:
-        res = res + tree(*labels).scale(c)
-    return res
+    return sum((tree(*labels).scale(c) for c, labels in terms), DiagramSum())
 
 
 def expected_tau3_compact():
@@ -115,19 +110,12 @@ def expected_tau3_compact():
         (-1, (A2 - A1, B1, B2, A2, B1 + B2)),
         (1, (B2, A2, 2 * A2 - 2 * A1 + B2, B1, A1)),
     ]
-    res = D.DiagramSum()
-    for c, labels in terms:
-        res = res + tree(*labels).scale(c)
-    return res
+    return sum((tree(*labels).scale(c) for c, labels in terms), DiagramSum())
 
 
 def identity_lhs():
     """Three times the genus-2 twist image: the left side of the 3 tau_2 identity."""
-    return (
-        tree(A1, B1, A1, B1).scale(Fraction(1, 2))
-        + tree(A1, B1, A2, B2)
-        + tree(A2, B2, A2, B2).scale(Fraction(1, 2))
-    ).scale(3)
+    return (odot(A1, B1) + tree(A1, B1, A2, B2) + odot(A2, B2)).scale(3)
 
 
 def identity_rhs():
@@ -149,10 +137,7 @@ def identity_rhs():
         (-1, 2 * A1 + B2, B1 + A2),
         (1, A1 + B1 + A2, A1 + B1 + B2),
     ]
-    res = D.DiagramSum()
-    for c, u, v in terms:
-        res = res + odot(u, v).scale(c)
-    return res
+    return sum((odot(u, v).scale(c) for c, u, v in terms), DiagramSum())
 
 
 def lemma_tree():

@@ -113,10 +113,7 @@ def boundary_barcode(g):
     """The boundary word zeta as a barcode: product of beta_i^-1 alpha_i beta_i alpha_i^-1."""
     if g < 1:
         raise DomainError("genus must be >= 1")
-    bc = []
-    for i in range(1, g + 1):
-        bc.extend([-2 * i, 2 * i - 1, 2 * i, -(2 * i - 1)])
-    return tuple(bc)
+    return sum((commutator_barcode((-2 * i,), (2 * i - 1,)) for i in range(1, g + 1)), ())
 
 
 def free_reduce(bc):

@@ -76,3 +76,26 @@ def test_counters_read_the_arguments_they_name():
         "johnson.L_k",
         "diagrams.eta",
     }
+
+
+WORKLOADS = TRACING.parent / "workloads.py"
+
+
+def test_tiny_workloads_pass_their_checks(tmp_path):
+    # The workloads build DiagramSums, call eta and read Tensor.terms; an API
+    # change there would otherwise show only when the benchmark runs.
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    tc = fresh_twistcalc_modules(
+        ["tensor", "surface", "expansion", "johnson", "diagrams", "casson", "psi_data", "cli"]
+    )
+    for name, workload in workloads.WORKLOADS.items():
+        exp = tc["expansion"].default_expansion(workload.genus, workloads.TRUNC)
+        state = workload.setup(tc, 1, tmp_path, True)
+        checks = [
+            ok
+            for item in state.items
+            for ok in workload.check(tc, state, item, workload.run(tc, exp, state, item))
+        ]
+        assert checks and all(checks), name

@@ -14,7 +14,7 @@ from twistcalc.casson import (
 from twistcalc.diagrams import morita_tau2, odot, tree
 from twistcalc.johnson import TwistEntry, twist_sum
 from twistcalc.psi_data import load_psi, psi_twist_entries, spine_pairs
-from twistcalc.surface import HVector, commutator_barcode
+from twistcalc.surface import HVector, commutator_barcode, omega
 from twistcalc.tensor import DomainError
 
 G = 2
@@ -62,6 +62,10 @@ def test_d_maps_additive():
 
 def test_dbar_prime_odot():
     assert dbar_prime(odot(A1, B1)) == 3
+    # 3 omega(u, v)^2 with omega(u, v) = 2 omega(a1, b1) + omega(a2, b2) = 3.
+    u, v = A1 + A2, 2 * B1 + B2 + A1
+    assert omega(u, v) == 3
+    assert dbar_prime(odot(u, v)) == 27
 
 
 def test_dbar_prime_tree():

@@ -128,6 +128,17 @@ def test_eta_is_the_sum_of_cyclicized_readings(g):
 
 def test_odot_is_half_symmetric_tree():
     assert eta(odot(A1, B1), N) == eta(tree(A1, B1, A1, B1), N).scale(Fraction(1, 2))
+    for u, v in ((A1, B1), (A1 + B2, 2 * B1 - A2)):
+        assert odot(u, v) == tree(u, v, u, v).scale(Fraction(1, 2))
+        assert odot(u, v) + odot(u, v) == tree(u, v, u, v)
+
+
+def test_odot_rejects_odd_length_labels():
+    # Labels of length 3 belong to no genus.  u (.) v is rejected at
+    # construction; eta would otherwise read the third coordinate as
+    # generator 3 of a genus-1 tensor.
+    with pytest.raises(DomainError):
+        odot(HVector((1, 0, 1)), HVector((0, 1, 0)))
 
 
 def test_odot_symmetric():
@@ -170,6 +181,8 @@ def test_morita_tau2_rejects_non_symplectic():
 def test_kappa_kills_odot():
     assert kappa(odot(A1, B1)) == {}
     assert kappa(odot(A1 + B2, B1 - A2)) == {}
+    # A coefficient with no inverse mod 3 is never reduced: the wedge is 0.
+    assert kappa(odot(A1, B1).scale(Fraction(1, 3))) == {}
 
 
 def test_kappa_of_basis_tree():
