@@ -47,7 +47,10 @@ class TreeDiagram:
 class DiagramSum:
     """Finitely supported rational combination of trees.
 
-    The constructor drops zero coefficients.
+    The constructor drops zero coefficients.  ``==`` compares formal sums of
+    labelled trees, without the AS, IHX or multilinearity relations, so sums
+    equal in the diagram space may compare unequal; compare values through
+    ``eta``.
     """
 
     __slots__ = ("items",)

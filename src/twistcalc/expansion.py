@@ -3,12 +3,14 @@
 The default expansion is pinned in degree <= 3; its evaluation theta is a
 monoid map from words in pi_1 (given as barcodes) to the truncated tensor
 algebra.  The value of an inverse letter is the antipode of its letter's
-value.
+value.  w -> m^|w| w is an algebra automorphism, so theta multiplies the letter
+values as ints scaled by it, m their common denominator, and divides once.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from . import tensor as T
 from .surface import barcode_letters, boundary_barcode
@@ -17,10 +19,10 @@ from .surface import barcode_letters, boundary_barcode
 class SymplecticExpansion:
     """Log-values l(alpha_i), l(beta_i) of a symplectic expansion, 1-indexed.
 
-    Immutable; the exponentials of the log-values, the letter values theta
-    evaluates with, are cached once for every degree 1..trunc.  Each
-    log-value l must satisfy antipode(l) = -l, as every Lie series does, so
-    that the inverse letter's value exp(-l) is antipode(exp(l)).
+    Immutable.  Each log-value l must satisfy antipode(l) = -l, as every Lie
+    series does, so that the inverse letter's value exp(-l) is
+    antipode(exp(l)).  The letter values are kept once, scaled by m^|w| and
+    bucketed by degree for tensor._mul, which serves every degree 1..trunc.
     """
 
     def __init__(self, g, trunc, log_alpha, log_beta):
@@ -37,17 +39,28 @@ class SymplecticExpansion:
                 )
             full[idx, 1] = T.exp_series(l)
             full[idx, -1] = T.antipode(full[idx, 1])
-        # Truncation to degree d is an algebra map, so the letter values at
-        # degree d are the full ones with their longer words dropped.
-        self._letters = {trunc: full}
-        for d in range(trunc - 1, 0, -1):
-            self._letters[d] = {key: T._lower(t, d) for key, t in self._letters[d + 1].items()}
+        # Every constant term is exactly 1 and every den divides m, so the
+        # scaled values are ints and the constant terms stay 1.
+        self._m = m = lcm(*(t.den for t in full.values()))
+        self._table = {
+            key: T._bucket({w: c * m ** len(w) // t.den for w, c in t.num.items()}, trunc)
+            for key, t in full.items()
+        }
+
+    def _scaled_letters(self, degree):
+        if not 1 <= degree <= self.trunc:
+            raise T.DomainError("evaluation degree must be in 1..truncation degree")
+        return self._table
+
+    def _unscaled(self, degree, pairs):
+        """The tensor at truncation degree of scaled (word, value) pairs."""
+        shift = [self._m ** (degree - k) for k in range(degree + 1)]
+        return T._tensor(self.g, degree, {w: c * shift[len(w)] for w, c in pairs}, shift[0])
 
     def letter_values(self, degree):
         """theta of each letter at the given degree, keyed by (index, sign)."""
-        if not 1 <= degree <= self.trunc:
-            raise T.DomainError("evaluation degree must be in 1..truncation degree")
-        return self._letters[degree]
+        table = self._scaled_letters(degree)
+        return {k: self._unscaled(degree, [((), c0)] + f[degree]) for k, (c0, f) in table.items()}
 
 
 def default_expansion(g, trunc=5):
@@ -97,11 +110,11 @@ def theta(exp, bc, degree=None):
     equals the full-degree theta with its words longer than ``degree`` dropped.
     """
     degree = exp.trunc if degree is None else degree
-    letters = exp.letter_values(degree)
-    res = T.Tensor.one(exp.g, degree)
+    table = exp._scaled_letters(degree)
+    num = {(): 1}
     for key in barcode_letters(bc, exp.g):
-        res = T.product(res, letters[key])
-    return res
+        num = T._mul(num, *table[key], degree)
+    return exp._unscaled(degree, num.items())
 
 
 def log_theta(exp, bc, degree=None):

@@ -233,24 +233,37 @@ def combination(g, trunc, terms):
     return _tensor(g, trunc, num, den)
 
 
-def product(x, y):
-    """Concatenation product, discarding words longer than the truncation.
-
-    y's terms are bucketed by degree once, so each word of x meets only the
-    words of y that fit in the room the truncation leaves it.
-    """
-    _check_compatible(x.g, x.trunc, y)
-    trunc = x.trunc
+def _bucket(num, trunc):
+    """(c0, fitting): the constant term of num, and fitting[r] the list of its
+    other (word, value) pairs of degree <= r, for r in 0..trunc."""
     by_degree = [[] for _ in range(trunc + 1)]
-    for wy, cy in y.num.items():
-        by_degree[len(wy)].append((wy, cy))
-    fitting = list(accumulate(by_degree))  # fitting[r]: y's terms of degree <= r
-    num = {}
-    for wx, cx in x.num.items():
+    for w, c in num.items():
+        by_degree[len(w)].append((w, c))
+    by_degree[0] = []
+    return num.get((), 0), list(accumulate(by_degree))
+
+
+def _mul(xnum, c0, fitting, trunc):
+    """The numerators of x·y at truncation trunc, with y given as _bucket(y.num).
+
+    y's constant term scales x in one copy; each word of x then meets only
+    the other words of y that fit in the room the truncation leaves it.
+    """
+    if c0 == 1:
+        num = dict(xnum)
+    else:
+        num = {w: c * c0 for w, c in xnum.items()} if c0 else {}
+    for wx, cx in xnum.items():
         for wy, cy in fitting[trunc - len(wx)]:
             w = wx + wy
             num[w] = num.get(w, 0) + cx * cy
-    return _tensor(x.g, trunc, num, x.den * y.den)
+    return num
+
+
+def product(x, y):
+    """Concatenation product, discarding words longer than the truncation."""
+    _check_compatible(x.g, x.trunc, y)
+    return _tensor(x.g, x.trunc, _mul(x.num, *_bucket(y.num, x.trunc), x.trunc), x.den * y.den)
 
 
 def bracket(x, y):

@@ -1,4 +1,5 @@
 import random
+from math import gcd
 
 import pytest
 
@@ -26,3 +27,9 @@ def random_null_homologous_barcode(rng, g, n_commutators=2):
 
 def rng_for(name):
     return random.Random(name)
+
+
+def assert_canonical(t):
+    assert t.den > 0
+    assert 0 not in t.num.values()
+    assert gcd(t.den, *t.num.values()) == 1

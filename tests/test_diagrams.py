@@ -49,6 +49,20 @@ def test_eta_antisymmetry_degree_two():
     assert eta(tree(A1, B1, A2, B2), N) == -eta(tree(A1, B1, B2, A2), N)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_antisymmetry_holds_through_eta_not_formally(degree):
+    # Swapping the two leaves at an end vertex negates a tree in the diagram
+    # space; DiagramSum == compares formal sums, so only eta sees it.
+    rng = rng_for("as-eta-%d" % degree)
+    for _ in range(10):
+        labels = [random_hv(rng) for _ in range(degree + 2)]
+        t = tree(*labels)
+        for i in (0, degree):
+            swapped = labels[:i] + [labels[i + 1], labels[i]] + labels[i + 2 :]
+            assert eta(t, N) == -eta(tree(*swapped), N)
+            assert t != -tree(*swapped)
+
+
 def test_eta_ihx_vanishes():
     rng = rng_for("ihx")
     for _ in range(15):

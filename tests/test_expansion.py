@@ -2,7 +2,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import random_barcode, random_null_homologous_barcode, rng_for
+from conftest import assert_canonical, random_barcode, random_null_homologous_barcode, rng_for
 from twistcalc.expansion import (
     SymplecticExpansion,
     default_expansion,
@@ -10,7 +10,7 @@ from twistcalc.expansion import (
     symplectic_defect,
     theta,
 )
-from twistcalc.surface import commutator_barcode, free_reduce
+from twistcalc.surface import barcode_letters, commutator_barcode, free_reduce
 from twistcalc.tensor import (
     DomainError,
     Tensor,
@@ -141,6 +141,56 @@ def test_theta_free_reduce_invariance(exp_g2):
     for _ in range(20):
         bc = random_barcode(rng, 2, max_len=8)
         assert theta(exp_g2, bc) == theta(exp_g2, free_reduce(bc))
+
+
+def custom_expansion(g, trunc=5):
+    """A Lie (not symplectic) expansion whose letter denominators bring 5 and 7 into m."""
+    a, b = gens(g, trunc)
+    log_alpha, log_beta = [], []
+    for i in range(g):
+        ab = bracket(a[i], b[i])
+        log_alpha.append(a[i] + ab.scale("1/7") + bracket(ab, b[i]).scale("2/5"))
+        log_beta.append(b[i] - ab.scale("3/7") + bracket(a[i], ab).scale("1/5"))
+    return SymplecticExpansion(g, trunc, log_alpha, log_beta)
+
+
+def theta_test_barcodes(rng, g):
+    """Seeded barcodes: empty, with inverse pairs, not bounding, and one of 40+ letters."""
+    letters = [k for k in range(-2 * g, 2 * g + 1) if k]
+    bcs = [(), (1, -1), random_null_homologous_barcode(rng, g)]
+    for _ in range(6):
+        bc = list(random_barcode(rng, g, max_len=6))
+        k = rng.choice(letters)
+        bc[rng.randint(0, len(bc)) : 0] = [k, -k]
+        bcs.append(tuple(bc))
+    bcs.append(tuple(rng.choice(letters) for _ in range(40 + rng.randint(0, 4))))
+    return bcs
+
+
+@pytest.mark.parametrize("make", [default_expansion, custom_expansion])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_integer_theta_matches_product_fold(make, g):
+    # The reference letters come from exp_series of the log-values, lowered to
+    # each degree by the checked constructor, and theta is checked against the
+    # left fold of product over them.
+    trunc = 5
+    exp = make(g, trunc)
+    rng = rng_for("integer-theta-%s-%d" % (make.__name__, g))
+    full = {}
+    for idx, l in enumerate(exp.log_alpha + exp.log_beta, start=1):
+        full[idx, 1] = exp_series(l)
+        full[idx, -1] = exp_series(-l)
+    bcs = theta_test_barcodes(rng, g)
+    for degree in range(1, trunc + 1):
+        letters = {key: Tensor(g, degree, dict(t.terms)) for key, t in full.items()}
+        assert exp.letter_values(degree) == letters
+        for bc in bcs:
+            want = Tensor.one(g, degree)
+            for key in barcode_letters(bc, g):
+                want = product(want, letters[key])
+            got = theta(exp, bc, degree)
+            assert_canonical(got)
+            assert got == want
 
 
 # -- log_theta ---------------------------------------------------------------

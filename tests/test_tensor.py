@@ -1,11 +1,11 @@
 from fractions import Fraction
 
 from itertools import product as word_product
-from math import factorial, gcd
+from math import factorial
 
 import pytest
 
-from conftest import random_barcode, rng_for
+from conftest import assert_canonical, random_barcode, rng_for
 from twistcalc.tensor import (
     DegreeMismatchError,
     DomainError,
@@ -358,12 +358,6 @@ def random_terms(rng, g, trunc):
     return terms
 
 
-def assert_canonical(t):
-    assert t.den > 0
-    assert 0 not in t.num.values()
-    assert gcd(t.den, *t.num.values()) == 1
-
-
 @pytest.mark.parametrize("trunc", range(1, N + 1))
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_kernel_matches_fraction_reference(g, trunc):
@@ -378,6 +372,7 @@ def test_kernel_matches_fraction_reference(g, trunc):
         log_ref = ref_series(x0d, trunc, lambda i: Fraction((-1) ** (i + 1), i))
         cases = [
             (product(x, y), ref_mul(xd, yd, trunc)),
+            (product(x0, y), ref_mul(x0d, yd, trunc)),
             (x + y, ref_lin(xd, yd, 1)),
             (x - y, ref_lin(xd, yd, -1)),
             (x - x, {}),
@@ -389,6 +384,17 @@ def test_kernel_matches_fraction_reference(g, trunc):
             (dynkin_defect(x0), ref_dynkin(x0d, trunc)),
             (antipode(x), {w[::-1]: (-1) ** len(w) * c for w, c in xd.items()}),
         ]
+        # product applies the right factor's constant term as one copy of
+        # the left factor: constant term exactly 1, absent, -1 and 3/2.  The
+        # other coefficients are ints, so the stored numerator of the
+        # constant term is 1, absent, -1 and 3.
+        for c0 in (1, None, -1, Fraction(3, 2)):
+            zd = {w: 12 * c for w, c in yd.items() if w}
+            if c0 is not None:
+                zd[()] = c0
+            z = Tensor(g, trunc, zd)
+            cases.append((product(x, z), ref_mul(xd, zd, trunc)))
+            cases.append((product(x0, z), ref_mul(x0d, zd, trunc)))
         for k in range(trunc + 1):
             cases.append((extract(x, k), {w: c for w, c in xd.items() if len(w) == k}))
             cases.append((truncate(x, k), {w: c for w, c in xd.items() if len(w) <= k}))
