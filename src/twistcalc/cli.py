@@ -14,7 +14,7 @@ from .casson import twist_audit
 from .expansion import default_expansion, symplectic_defect
 from .diagrams import eta
 from .johnson import TwistEntry, twist_sum
-from .surface import BarcodeError, barcode_homology
+from .surface import BarcodeError, barcode_homology, free_reduce
 from .tensor import DomainError, render
 
 EXIT_OK = 0
@@ -44,8 +44,16 @@ def parse_twist_file(text, g):
             bounding = barcode_homology(entry.barcode, g).is_zero()
         except (BarcodeError, DomainError) as e:
             raise TwistFileError("line %d: %s" % (lineno, e))
+        if entry.genus > g:
+            raise TwistFileError(
+                "line %d: twist genus %d exceeds surface genus %d" % (lineno, entry.genus, g)
+            )
         if not bounding:
             raise TwistFileError("line %d: barcode is not null-homologous" % lineno)
+        if not free_reduce(entry.barcode):
+            raise TwistFileError(
+                "line %d: barcode is trivial (it freely reduces to the empty word)" % lineno
+            )
         entries.append(entry)
     return entries
 

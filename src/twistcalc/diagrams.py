@@ -16,7 +16,6 @@ coefficients and cyclicizes once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -24,20 +23,38 @@ from . import tensor as T
 from .surface import omega
 
 
-@dataclass(frozen=True, slots=True)
 class TreeDiagram:
     """A labeled caterpillar tree; degree = number of trivalent vertices."""
 
-    labels: tuple
+    __slots__ = ("labels",)
 
-    def __post_init__(self):
-        labels = tuple(self.labels)
+    def __init__(self, labels):
+        labels = tuple(labels)
         if len(labels) not in (3, 4, 5):
             raise T.DomainError("trees carry 3, 4 or 5 leaves")
         lengths = {len(v) for v in labels}
         if len(lengths) != 1 or next(iter(lengths)) % 2 != 0:
             raise T.DomainError("leaf labels must share an even length")
         object.__setattr__(self, "labels", labels)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("TreeDiagram is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.labels == other.labels
+
+    def __hash__(self):
+        return hash((self.labels,))
+
+    def __reduce__(self):
+        return (TreeDiagram, (self.labels,))
+
+    def __repr__(self):
+        return "TreeDiagram(labels=%r)" % (self.labels,)
 
     @property
     def degree(self):

@@ -12,27 +12,47 @@ through the duality x -> omega(x, -).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import tensor as T
 from .expansion import log_theta
 
 
-@dataclass(frozen=True)
 class TwistEntry:
     """A signed Dehn twist along a bounding simple closed curve."""
 
-    coeff: int
-    genus: int
-    barcode: tuple
+    __slots__ = ("coeff", "genus", "barcode")
 
-    def __post_init__(self):
-        if self.coeff == 0:
+    def __init__(self, coeff, genus, barcode):
+        if coeff == 0:
             raise T.DomainError("twist exponent must be nonzero")
-        if self.genus not in (1, 2):
+        if genus not in (1, 2):
             raise T.DomainError("twist genus must be 1 or 2")
-        object.__setattr__(self, "barcode", tuple(self.barcode))
+        object.__setattr__(self, "coeff", coeff)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "barcode", tuple(barcode))
+
+    def _key(self):
+        return (self.coeff, self.genus, self.barcode)
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("TwistEntry is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __reduce__(self):
+        return (TwistEntry, self._key())
+
+    def __repr__(self):
+        return "TwistEntry(coeff=%r, genus=%r, barcode=%r)" % self._key()
 
 
 def _check_degree(exp, k):

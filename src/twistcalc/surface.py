@@ -6,8 +6,6 @@ A barcode is a sequence of nonzero integers k with |k| <= 2g; the entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .tensor import DomainError
 
 
@@ -15,14 +13,29 @@ class BarcodeError(ValueError):
     """Raised for barcode entries outside the allowed range."""
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class HVector:
     """Integer vector of length 2g in the homology basis (a_1..a_g, b_1..b_g)."""
 
-    coords: tuple
+    __slots__ = ("coords",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "coords", tuple(int(c) for c in self.coords))
+    def __init__(self, coords):
+        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("HVector is immutable")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coords == other.coords
+
+    def __hash__(self):
+        return hash((self.coords,))
+
+    def __reduce__(self):
+        return (HVector, (self.coords,))
 
     @classmethod
     def basis(cls, g, idx):

@@ -55,7 +55,7 @@ def test_parse_skips_comments_and_blanks():
 
 @pytest.mark.parametrize(
     "line",
-    ["0 1 1 -2", "1 3 1 -2", "1 1 9", "1 1 0", "x 1 1", "1", "1 1 1 -2"],
+    ["0 1 1 -2", "1 3 1 -2", "1 1 9", "1 1 0", "x 1 1", "1", "1 1 1 -2", "1 1", "1 1 1 -1"],
 )
 def test_parse_rejects_bad_records(line):
     with pytest.raises(TwistFileError, match=r"^line 1: "):
@@ -119,6 +119,23 @@ def test_non_bounding_barcode_reports_line(tmp_path):
     code, _, err = run_cli("casson", "--file", str(path))
     assert code == EXIT_USAGE
     assert "line 2: barcode is not null-homologous" in err
+
+
+@pytest.mark.parametrize("line", ["1 1", "-2 2 1 2 -2 -1"])
+def test_trivial_barcode_reports_line(tmp_path, line):
+    path = tmp_path / "trivial.txt"
+    path.write_text("1 1 1 -2 -1 2\n%s\n" % line)
+    code, out, err = run_cli("casson", "--file", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "parse error: line 2: barcode is trivial (it freely reduces to the empty word)\n"
+
+
+def test_twist_genus_above_surface_genus_reports_line(tmp_path):
+    path = tmp_path / "g2.txt"
+    path.write_text("1 1 1 2 -1 -2\n1 2 1 2 -1 -2\n")
+    code, out, err = run_cli("--genus", "1", "casson", "--file", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "parse error: line 2: twist genus 2 exceeds surface genus 1\n"
 
 
 def test_casson_of_psi_file(psi_file):

@@ -1,10 +1,13 @@
-"""twistcalc has no runtime dependencies: its modules import only the stdlib."""
+"""twistcalc has no runtime dependencies: its modules import only the stdlib,
+and start-up loads neither ``dataclasses`` nor what that module pulls in."""
 
 import ast
 import pathlib
+import subprocess
 import sys
 
 SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "twistcalc"
+SLOW_IMPORTS = ("dataclasses",)
 
 
 def test_modules_import_only_the_standard_library():
@@ -21,6 +24,20 @@ def test_modules_import_only_the_standard_library():
             else:
                 continue  # relative imports stay inside the package
             for name in names:
-                if name.split(".")[0] not in sys.stdlib_module_names:
+                top = name.split(".")[0]
+                if top not in sys.stdlib_module_names or top in SLOW_IMPORTS:
                     foreign.append("%s:%d imports %s" % (path.name, node.lineno, name))
     assert foreign == []
+
+
+def test_cli_start_up_leaves_out_dataclasses_and_inspect():
+    # -I -S: no site hooks or environment paths, so only twistcalc's own
+    # imports can load a module.
+    code = (
+        "import sys; sys.path.insert(0, %r); import twistcalc.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % str(SRC.parent)
+    )
+    out = subprocess.run(
+        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+    )
+    assert out.stdout == "[]\n"

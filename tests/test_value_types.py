@@ -1,0 +1,134 @@
+"""The contract of the five value types: immutable, equal and hashed by their
+fields, pickled and copied by value, with pinned reprs and validation."""
+
+import copy
+import pickle
+from fractions import Fraction
+
+import pytest
+
+from twistcalc.casson import CassonReport
+from twistcalc.diagrams import TreeDiagram
+from twistcalc.johnson import TwistEntry
+from twistcalc.psi_data import PsiTwist
+from twistcalc.surface import HVector
+from twistcalc.tensor import DomainError
+
+A1 = HVector.basis(2, 1)
+B1 = HVector.basis(2, 3)
+REPORT_FIELDS = (-24, 0, Fraction(10), Fraction(-3), Fraction(1))
+
+# (class, field names, field values, pinned repr)
+CASES = [
+    (HVector, ("coords",), ((1, 0, 0, 0),), "HVector((1, 0, 0, 0))"),
+    (
+        TwistEntry,
+        ("coeff", "genus", "barcode"),
+        (1, 1, (1, -2, -1, 2)),
+        "TwistEntry(coeff=1, genus=1, barcode=(1, -2, -1, 2))",
+    ),
+    (
+        TreeDiagram,
+        ("labels",),
+        ((A1, B1, A1),),
+        "TreeDiagram(labels=(HVector((1, 0, 0, 0)), HVector((0, 0, 1, 0)), "
+        "HVector((1, 0, 0, 0))))",
+    ),
+    (
+        CassonReport,
+        ("d_value", "d_prime_value", "n_genus1", "n_genus2", "lambda_value"),
+        REPORT_FIELDS,
+        "CassonReport(d_value=-24, d_prime_value=0, n_genus1=Fraction(10, 1), "
+        "n_genus2=Fraction(-3, 1), lambda_value=Fraction(1, 1))",
+    ),
+    (
+        PsiTwist,
+        ("name", "coeff", "spine"),
+        ("s1", 7, (((1,), (-2,)),)),
+        "PsiTwist(name='s1', coeff=7, spine=(((1,), (-2,)),))",
+    ),
+]
+IDS = [case[0].__name__ for case in CASES]
+
+
+@pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
+def test_fields_cannot_be_set_or_deleted(cls, names, values, text):
+    obj = cls(*values)
+    for name in names:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) == values[names.index(name)]
+
+
+@pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
+def test_equality_and_hash_follow_the_fields(cls, names, values, text):
+    obj = cls(*values)
+    twin = cls(**dict(zip(names, values)))
+    assert tuple(getattr(obj, n) for n in names) == values
+    assert obj == twin and not obj != twin
+    assert hash(obj) == hash(twin) == hash(values)
+    assert len({obj, twin}) == 1
+    assert obj != values
+
+
+@pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
+def test_repr_is_pinned(cls, names, values, text):
+    assert repr(cls(*values)) == text
+
+
+@pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
+def test_pickle_and_copy_keep_the_value(cls, names, values, text):
+    obj = cls(*values)
+    assert pickle.loads(pickle.dumps(obj)) == obj
+    assert copy.copy(obj) == obj
+    assert copy.deepcopy(obj) == obj
+
+
+def test_distinct_fields_compare_unequal():
+    assert TwistEntry(1, 1, (1, -2, -1, 2)) != TwistEntry(-1, 1, (1, -2, -1, 2))
+    assert HVector((1, 0, 0, 0)) != HVector((0, 1, 0, 0))
+    assert TreeDiagram((A1, B1, A1)) != TreeDiagram((B1, A1, A1))
+    assert HVector((1, 0, 0, 0)) != TreeDiagram((A1, B1, A1))
+
+
+def test_hvector_coords_become_a_tuple_of_ints():
+    v = HVector(iter([1.0, 0, True, -2]))
+    assert v.coords == (1, 0, 1, -2)
+    assert all(type(c) is int for c in v.coords)
+
+
+def test_twist_entry_validation():
+    assert TwistEntry(1, 2, [1, -2]).barcode == (1, -2)
+    with pytest.raises(DomainError, match="^twist exponent must be nonzero$"):
+        TwistEntry(0, 1, (1, -2, -1, 2))
+    for genus in (0, 3):
+        with pytest.raises(DomainError, match="^twist genus must be 1 or 2$"):
+            TwistEntry(1, genus, (1, -2, -1, 2))
+
+
+def test_tree_diagram_validation():
+    assert TreeDiagram([A1, B1, A1, B1]).labels == (A1, B1, A1, B1)
+    assert [TreeDiagram((A1,) * n).degree for n in (3, 4, 5)] == [1, 2, 3]
+    for n in (2, 6):
+        with pytest.raises(DomainError, match="^trees carry 3, 4 or 5 leaves$"):
+            TreeDiagram((A1,) * n)
+    odd = HVector((1, 0, 1))
+    for labels in ((A1, B1, HVector.basis(3, 1)), (odd, odd, odd)):
+        with pytest.raises(DomainError, match="^leaf labels must share an even length$"):
+            TreeDiagram(labels)
+
+
+def test_casson_report_lambda_defaults_to_none():
+    report = CassonReport(*REPORT_FIELDS[:4])
+    assert report.lambda_value is None
+    assert report == CassonReport(*REPORT_FIELDS[:4], lambda_value=None)
+    assert "lambda" not in report.render()
+
+
+def test_psi_twist_reads_genus_and_barcode_from_its_spine():
+    twist = PsiTwist("s1", 7, (((1,), (-2,)),))
+    assert twist.genus == 1
+    assert twist.barcode == (1, -2, -1, 2)
+    assert twist.entry() == TwistEntry(7, 1, (1, -2, -1, 2))
