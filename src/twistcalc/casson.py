@@ -9,8 +9,6 @@ diagrams.  On a J_3-certified list (tau_2 = 0) the Casson invariant is
 (johnson.twist_sum).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from . import tensor as T

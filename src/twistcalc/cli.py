@@ -4,8 +4,6 @@ and the full embedded-dataset verification pipeline.
 Exit codes: 0 success, 1 mathematical mismatch, 2 usage or parse error.
 """
 
-from __future__ import annotations
-
 import argparse
 import sys
 

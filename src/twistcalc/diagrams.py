@@ -14,8 +14,6 @@ N is linear, so eta of a DiagramSum sums the readings with their
 coefficients and cyclicizes once.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from itertools import chain, combinations
 
@@ -81,10 +79,14 @@ class DiagramSum:
                     clean[node] = c
         object.__setattr__(self, "items", clean)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("DiagramSum is immutable")
 
+    __delattr__ = __setattr__
+
     def __add__(self, other):
+        if not isinstance(other, DiagramSum):
+            return NotImplemented
         items = dict(self.items)
         for node, coeff in other.items.items():
             items[node] = items.get(node, 0) + coeff
@@ -94,6 +96,8 @@ class DiagramSum:
         return DiagramSum({n: -c for n, c in self.items.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, DiagramSum):
+            return NotImplemented
         return self + (-other)
 
     def scale(self, scalar):

@@ -7,8 +7,6 @@ value.  w -> m^|w| w is an algebra automorphism, so theta multiplies the letter
 values as ints scaled by it, m their common denominator, and divides once.
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 from math import lcm
 

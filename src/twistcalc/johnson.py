@@ -10,8 +10,6 @@ A homogeneous tensor is itself a derivation, read as a Hom(H, .) map
 through the duality x -> omega(x, -).
 """
 
-from __future__ import annotations
-
 from fractions import Fraction
 
 from . import tensor as T

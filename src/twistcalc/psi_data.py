@@ -7,8 +7,6 @@ subsurface.  The twist's barcode is derived from the spine as the product of
 the commutators u v u^-1 v^-1, and its genus as the number of pairs.
 """
 
-from __future__ import annotations
-
 from .diagrams import DiagramSum, eta, odot, tree
 from .johnson import TwistEntry, derivation_bracket
 from .surface import HVector, barcode_homology, commutator_barcode, omega

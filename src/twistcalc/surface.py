@@ -4,8 +4,6 @@ A barcode is a sequence of nonzero integers k with |k| <= 2g; the entry
 +-(2i-1) stands for alpha_i^{+-1} and +-2i for beta_i^{+-1}.
 """
 
-from __future__ import annotations
-
 from .tensor import DomainError
 
 

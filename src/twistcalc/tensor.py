@@ -8,15 +8,14 @@ runs on integers; ``terms`` is the rational view of the same values.
 
 The full-degree series are nested evaluations: ``exp_series`` and
 ``log_series`` run Horner's rule with each level at the truncation its outer
-factors leave it, and ``dynkin_defect`` brackets each right quotient once.
+factors leave it, and ``dynkin_defect`` left-nests brackets by block transposes.
 """
-
-from __future__ import annotations
 
 from collections.abc import Mapping
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, compress
 from math import factorial, gcd, lcm
+from operator import sub
 
 
 class DegreeMismatchError(ValueError):
@@ -66,8 +65,10 @@ class Tensor:
         num = {w: c.numerator * (den // c.denominator) for w, c in clean.items()}
         _store(self, g, trunc, num, den)
 
-    def __setattr__(self, name, value):
+    def __setattr__(self, name, value=None):
         raise AttributeError("Tensor is immutable")
+
+    __delattr__ = __setattr__
 
     @property
     def terms(self):
@@ -296,51 +297,43 @@ def truncate(x, k):
     return _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if len(w) <= k}, x.den)
 
 
-def _lower(x, k):
-    """The parts of x of degree <= k, as a tensor truncated at degree k."""
-    if k == x.trunc:
-        return x
-    return _tensor(x.g, k, {w: c for w, c in x.num.items() if len(w) <= k}, x.den)
+def _horner(x, coeff, scale):
+    """sum_i coeff(i) y^i / scale, y the part of x of positive degree, by Horner.
 
-
-def _horner(x, coeff):
-    """sum_i coeff(i) x^i for x with zero constant term, as c_0 + x (c_1 + x (c_2 + ...)).
-
-    With m the lowest degree of x and n the truncation, x^i vanishes for
-    i > n // m, so the nesting starts there.  The level under j outer factors
-    of x only meets words of degree <= n - j m, so it is evaluated at that
-    truncation; truncation is an algebra map, so the result is exact.  Each
-    level is stored at the truncation of the product that reads it, and the
-    outermost at n.
+    With m the lowest degree of y and n the truncation, y^i vanishes for
+    i > n // m, so the nesting starts there; the level under i factors of y
+    only meets degrees <= n - i m, so it is computed there.  A level h is a
+    polynomial in y, so y h = h y is _mul of h by the one bucketing of y.  With
+    y = Y / D, level i is H_i / (scale D^(top - i)), H_i = H_(i+1) Y +
+    coeff(i) D^(top - i): each constant is one numerator, reduced once at the end.
     """
-    g, n = x.g, x.trunc
-    m = min(map(len, x.num), default=n + 1)
+    n, d = x.trunc, x.den
+    _, fitting = _bucket(x.num, n)
+    m = next((r for r, f in enumerate(fitting) if f), n + 1)
     top = n // m
-    c = coeff(top)
-    h = _tensor(g, min(n - top * m + m, n), {(): c.numerator}, c.denominator)
+    h = {(): coeff(top)}
+    p = 1
     for i in range(top - 1, -1, -1):
-        t = n - i * m
-        p = product(_lower(x, t), h)
-        c = coeff(i)
-        num = {w: v * c.denominator for w, v in p.num.items()}
-        num[()] = c.numerator * p.den  # x has no constant term, so neither has p
-        h = _tensor(g, min(t + m, n), num, p.den * c.denominator)
-    return h
+        h = _mul(h, 0, fitting, n - i * m)
+        p *= d
+        h[()] = coeff(i) * p  # y has no constant term, so neither has y h
+    return _tensor(x.g, n, h, scale * p)
 
 
 def exp_series(x):
     """Truncated exponential sum x^i / i! of a tensor with zero constant term."""
     if () in x.num:
         raise DomainError("exp_series requires a zero constant term")
-    return _horner(x, lambda i: Fraction(1, factorial(i)))
+    f = factorial(x.trunc)
+    return _horner(x, lambda i: f // factorial(i), f)
 
 
 def log_series(x):
     """Truncated logarithm of a tensor whose constant term is exactly 1."""
     if x.num.get(()) != x.den:
         raise DomainError("log_series requires constant term exactly 1")
-    d = _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if w}, x.den)
-    return _horner(d, lambda i: Fraction((-1) ** (i + 1), i) if i else 0)
+    f = lcm(*range(1, x.trunc + 1))
+    return _horner(x, lambda i: (-1) ** (i + 1) * f // i if i else 0, f)
 
 
 def antipode(x):
@@ -353,45 +346,55 @@ def antipode(x):
     return _tensor(x.g, x.trunc, num, x.den)
 
 
-def _left_nested(part, n):
-    """beta of a dict of distinct degree-n words: each word w to [[...[w1,w2],...],wn].
-
-    beta(u a) = [beta(u), a], so the words are split by their last letter a
-    and beta is taken once of each right quotient, whose result has its
-    signed words merged and its zero coefficients dropped.
-    """
-    if n == 1:
-        return part
-    quotients = {}
-    for w, c in part.items():
-        quotients.setdefault(w[-1], {})[w[:-1]] = c
-    num = {}
-    for a, q in quotients.items():
-        for u, c in _left_nested(q, n - 1).items():
-            w = u + (a,)
-            num[w] = num.get(w, 0) + c
-            w = (a,) + u
-            num[w] = num.get(w, 0) - c
-    return {w: c for w, c in num.items() if c}
-
-
 def dynkin_defect(x):
     """Sum over degrees n of (beta(x_n) - n * x_n), where beta left-nests brackets.
 
-    Vanishes exactly when x is a Lie series degree by degree.
+    Vanishes exactly when x is a Lie series degree by degree.  The degree-n
+    part is a dense list of (2g)^n numerators, indexed by the word in base 2g,
+    first letter most significant (1,024 ints at g = 2 and 7,776 at g = 3 for
+    n = 5).  beta_n = Phi_n ... Phi_2, Phi_k(v a s) = v a s - a v s for
+    |v a| = k: one block transpose and one subtraction each.
     """
     if () in x.num:
         raise DomainError("dynkin_defect requires a zero constant term")
-    parts = {}
+    b = 2 * x.g
+    blocks = {}
     for w, c in x.num.items():
-        if len(w) > 1:  # beta is the identity in degree 1
-            parts.setdefault(len(w), {})[w] = c
+        n = len(w)
+        if n > 1:  # beta is the identity in degree 1
+            if n not in blocks:
+                blocks[n] = [0] * b**n
+            i = 0
+            for a in w:
+                i = i * b + a - 1
+            blocks[n][i] = c
     num = {}
-    for n, part in parts.items():
-        nested = _left_nested(part, n)
-        for w, c in part.items():
-            nested[w] = nested.get(w, 0) - n * c
-        num.update(nested)
+    for n, block in blocks.items():
+        size = len(block)
+        beta = block
+        for k in range(2, n + 1):
+            # moved holds at a v s the value of v a s, |v| = k - 1
+            lv, ls = b ** (k - 1), b ** (n - k)
+            moved = [0] * size
+            if ls > lv:  # runs of suffixes s
+                for a in range(b):
+                    for v in range(lv):
+                        i, j = (v * b + a) * ls, (a * lv + v) * ls
+                        moved[j : j + ls] = beta[i : i + ls]
+            else:  # strided runs of prefixes v
+                for a in range(b):
+                    for s in range(ls):
+                        moved[a * lv * ls + s : (a + 1) * lv * ls : ls] = beta[a * ls + s :: b * ls]
+            beta = list(map(sub, beta, moved))
+        scaled = list(map(n.__mul__, block))
+        if beta == scaled:
+            continue
+        for i in compress(range(size), map(sub, beta, scaled)):
+            c, w = beta[i] - scaled[i], []
+            for _ in range(n):
+                i, a = divmod(i, b)
+                w.append(a + 1)
+            num[tuple(reversed(w))] = c
     return _tensor(x.g, x.trunc, num, x.den)
 
 

@@ -260,3 +260,25 @@ def test_kappa_matches_leibniz_sum():
 def test_kappa_rejects_wrong_degree():
     with pytest.raises(DomainError):
         kappa(tree(A1, B1, A2))
+
+
+def test_diagram_sum_cannot_be_set_or_deleted():
+    d = tree(A1, B1, A2)
+    with pytest.raises(AttributeError):
+        d.items = {}
+    with pytest.raises(AttributeError):
+        del d.items
+    assert d == tree(A1, B1, A2)
+
+
+def test_diagram_sum_adds_only_diagram_sums():
+    d = tree(A1, B1, A2)
+    for other in (1, 0, Fraction(1, 2), "x"):
+        with pytest.raises(TypeError):
+            d + other
+        with pytest.raises(TypeError):
+            d - other
+    with pytest.raises(TypeError):
+        sum([d, d])  # no start: 0 + d
+    assert sum([d, tree(A1, B1, B2), d], DiagramSum()) == d.scale(2) + tree(A1, B1, B2)
+    assert sum([], DiagramSum()) == DiagramSum()

@@ -6,6 +6,7 @@ from math import factorial
 import pytest
 
 from conftest import assert_canonical, random_barcode, rng_for
+from twistcalc.expansion import default_expansion, log_theta
 from twistcalc.tensor import (
     DegreeMismatchError,
     DomainError,
@@ -69,6 +70,16 @@ def random_tensor(rng, g=G, trunc=N, max_deg=2, nterms=3):
 
 
 # -- equality ------------------------------------------------------------
+
+
+def test_fields_cannot_be_set_or_deleted():
+    x = words({(A1,): 1}, G, 3)
+    for name in ("g", "trunc", "num", "den"):
+        with pytest.raises(AttributeError):
+            setattr(x, name, getattr(x, name))
+        with pytest.raises(AttributeError):
+            delattr(x, name)
+    assert x == words({(A1,): 1}, G, 3)
 
 
 def test_equality_compares_genus_and_truncation():
@@ -464,6 +475,50 @@ def test_dynkin_defect_matches_fraction_reference_on_dense_parts():
         got = dynkin_defect(x)
         assert_canonical(got)
         assert dict(got.terms) == ref_clean(ref_dynkin(dict(x.terms), trunc), trunc)
+
+
+@pytest.mark.parametrize("g", [1, 3])
+def test_dynkin_defect_matches_fraction_reference_at_other_bases(g):
+    # Base 2g = 2 and 6: the block transposes run on contiguous slices of the
+    # suffixes where those are longer than the prefixes, and on strided
+    # slices otherwise, so other bases than 4 change which steps take which.
+    trunc = 5
+    rng = rng_for("dynkin-base-%d" % g)
+
+    def letters(k):
+        return tuple(rng.randint(1, 2 * g) for _ in range(k))
+
+    def check(x):
+        got = dynkin_defect(x)
+        assert_canonical(got)
+        assert dict(got.terms) == ref_clean(ref_dynkin(dict(x.terms), trunc), trunc)
+        return got
+
+    for _ in range(4):
+        # Words that share prefixes, on every degree 1..trunc.
+        prefixes = [letters(rng.randint(1, 3)) for _ in range(3)]
+        terms = {}
+        for _ in range(12):
+            w = rng.choice(prefixes) + letters(rng.randint(0, 2))
+            terms[w] = Fraction(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+        assert not check(Tensor(g, trunc, terms)).is_zero()
+    # Only degrees 2 and 5: the blocks of degrees 3 and 4 are absent.
+    gapped = {letters(2): 3, letters(5): Fraction(-1, 2), letters(5): 1}
+    assert not check(Tensor(g, trunc, gapped)).is_zero()
+
+
+def test_dynkin_defect_of_log_theta_at_genus_three():
+    g, trunc = 3, 5
+    l = log_theta(default_expansion(g, trunc), (1, -4, 6))
+    assert sum(len(w) == trunc for w in l.num) > 100
+    assert dynkin_defect(l).is_zero()
+    # One word more: the defect is linear and l is a Lie series, so the
+    # reference defect is that of the word alone, a sparse input.
+    w = {(2, 5, 5, 1, 6): Fraction(1, 3)}
+    got = dynkin_defect(l + Tensor(g, trunc, w))
+    assert_canonical(got)
+    assert dict(got.terms) == ref_clean(ref_dynkin(w, trunc), trunc)
+    assert not got.is_zero()
 
 
 # -- canonical text ---------------------------------------------------------
