@@ -15,7 +15,7 @@ from . import tensor as T
 from .surface import omega
 
 
-class CassonReport:
+class CassonReport(T.Value):
     """The Casson-core numbers of a twist list."""
 
     __slots__ = ("d_value", "d_prime_value", "n_genus1", "n_genus2", "lambda_value")
@@ -26,31 +26,6 @@ class CassonReport:
         object.__setattr__(self, "n_genus1", n_genus1)
         object.__setattr__(self, "n_genus2", n_genus2)
         object.__setattr__(self, "lambda_value", lambda_value)
-
-    def _key(self):
-        return (self.d_value, self.d_prime_value, self.n_genus1, self.n_genus2, self.lambda_value)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("CassonReport is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (CassonReport, self._key())
-
-    def __repr__(self):
-        return (
-            "CassonReport(d_value=%r, d_prime_value=%r, n_genus1=%r, n_genus2=%r, "
-            "lambda_value=%r)" % self._key()
-        )
 
     def render(self):
         lines = [

@@ -21,7 +21,7 @@ from . import tensor as T
 from .surface import omega
 
 
-class TreeDiagram:
+class TreeDiagram(T.Value):
     """A labeled caterpillar tree; degree = number of trivalent vertices."""
 
     __slots__ = ("labels",)
@@ -35,31 +35,12 @@ class TreeDiagram:
             raise T.DomainError("leaf labels must share an even length")
         object.__setattr__(self, "labels", labels)
 
-    def __setattr__(self, name, value=None):
-        raise AttributeError("TreeDiagram is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.labels == other.labels
-
-    def __hash__(self):
-        return hash((self.labels,))
-
-    def __reduce__(self):
-        return (TreeDiagram, (self.labels,))
-
-    def __repr__(self):
-        return "TreeDiagram(labels=%r)" % (self.labels,)
-
     @property
     def degree(self):
         return len(self.labels) - 2
 
 
-class DiagramSum:
+class DiagramSum(T.Value):
     """Finitely supported rational combination of trees.
 
     The constructor drops zero coefficients.  ``==`` compares formal sums of
@@ -69,6 +50,7 @@ class DiagramSum:
     """
 
     __slots__ = ("items",)
+    __hash__ = None
 
     def __init__(self, items=None):
         clean = {}
@@ -78,11 +60,6 @@ class DiagramSum:
                 if c != 0:
                     clean[node] = c
         object.__setattr__(self, "items", clean)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("DiagramSum is immutable")
-
-    __delattr__ = __setattr__
 
     def __add__(self, other):
         if not isinstance(other, DiagramSum):
@@ -106,11 +83,6 @@ class DiagramSum:
 
     def __rmul__(self, scalar):
         return self.scale(scalar)
-
-    def __eq__(self, other):
-        if not isinstance(other, DiagramSum):
-            return NotImplemented
-        return self.items == other.items
 
 
 def tree(*labels):

@@ -16,7 +16,7 @@ from . import tensor as T
 from .expansion import log_theta
 
 
-class TwistEntry:
+class TwistEntry(T.Value):
     """A signed Dehn twist along a bounding simple closed curve."""
 
     __slots__ = ("coeff", "genus", "barcode")
@@ -29,28 +29,6 @@ class TwistEntry:
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "barcode", tuple(barcode))
-
-    def _key(self):
-        return (self.coeff, self.genus, self.barcode)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("TwistEntry is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (TwistEntry, self._key())
-
-    def __repr__(self):
-        return "TwistEntry(coeff=%r, genus=%r, barcode=%r)" % self._key()
 
 
 def _check_degree(exp, k):

@@ -10,12 +10,12 @@ the commutators u v u^-1 v^-1, and its genus as the number of pairs.
 from .diagrams import DiagramSum, eta, odot, tree
 from .johnson import TwistEntry, derivation_bracket
 from .surface import HVector, barcode_homology, commutator_barcode, omega
-from .tensor import DomainError
+from .tensor import DomainError, Value
 
 GENUS = 2
 
 
-class PsiTwist:
+class PsiTwist(Value):
     """A named twist of psi; its spine pairs sub-barcodes spanning the bounded subsurface."""
 
     __slots__ = ("name", "coeff", "spine")
@@ -24,28 +24,6 @@ class PsiTwist:
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "spine", spine)
-
-    def _key(self):
-        return (self.name, self.coeff, self.spine)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("PsiTwist is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __reduce__(self):
-        return (PsiTwist, self._key())
-
-    def __repr__(self):
-        return "PsiTwist(name=%r, coeff=%r, spine=%r)" % self._key()
 
     @property
     def barcode(self):

@@ -4,36 +4,24 @@ A barcode is a sequence of nonzero integers k with |k| <= 2g; the entry
 +-(2i-1) stands for alpha_i^{+-1} and +-2i for beta_i^{+-1}.
 """
 
-from .tensor import DomainError
+from .tensor import DomainError, Value
 
 
 class BarcodeError(ValueError):
     """Raised for barcode entries outside the allowed range."""
 
 
-class HVector:
+class HVector(Value):
     """Integer vector of length 2g in the homology basis (a_1..a_g, b_1..b_g)."""
 
     __slots__ = ("coords",)
 
     def __init__(self, coords):
-        object.__setattr__(self, "coords", tuple(int(c) for c in coords))
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("HVector is immutable")
-
-    __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coords == other.coords
-
-    def __hash__(self):
-        return hash((self.coords,))
-
-    def __reduce__(self):
-        return (HVector, (self.coords,))
+        coords = tuple(coords)
+        ints = tuple(map(int, coords))
+        if ints != coords:
+            raise DomainError("homology coordinates must be integers")
+        object.__setattr__(self, "coords", ints)
 
     @classmethod
     def basis(cls, g, idx):

@@ -9,13 +9,15 @@ runs on integers; ``terms`` is the rational view of the same values.
 The full-degree series are nested evaluations: ``exp_series`` and
 ``log_series`` run Horner's rule with each level at the truncation its outer
 factors leave it, and ``dynkin_defect`` left-nests brackets by block transposes.
+
+``Value`` is the immutable base of the package's value types, Tensor among them.
 """
 
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import factorial, gcd, lcm
-from operator import sub
+from operator import attrgetter, sub
 
 
 class DegreeMismatchError(ValueError):
@@ -26,7 +28,43 @@ class DomainError(ValueError):
     """Raised when an operation's precondition on its input fails."""
 
 
-class Tensor:
+class Value:
+    """An immutable value, equal, hashed, pickled and printed by its fields.
+
+    The fields are the subclass's ``__slots__``, stored by its ``__init__``
+    through ``object.__setattr__``.  ``_key(obj)``, made once per class, reads
+    them as one tuple (a 1-tuple for one field), so hash(obj) == hash(fields).
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        get = attrgetter(*cls.__slots__)
+        cls._key = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError("%s is immutable" % self.__class__.__name__)
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __reduce__(self):
+        return (self.__class__, self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(map("%s=%r".__mod__, zip(self.__slots__, self._key(self))))
+        return "%s(%s)" % (self.__class__.__name__, fields)
+
+
+class Tensor(Value):
     """Element of the free algebra on 2g generators, truncated at degree ``trunc``.
 
     Immutable.  ``num`` maps words (tuples of generator indices in 1..2g) to
@@ -52,23 +90,15 @@ class Tensor:
         clean = {}
         if terms:
             for word, coeff in terms.items():
-                if len(word) > trunc:
-                    continue
-                c = Fraction(coeff)
-                if c == 0:
-                    continue
                 for idx in word:
                     if not 1 <= idx <= 2 * g:
                         raise DomainError("generator index %r out of range" % (idx,))
-                clean[tuple(word)] = c
+                c = Fraction(coeff)
+                if c and len(word) <= trunc:
+                    clean[tuple(word)] = c
         den = lcm(*(c.denominator for c in clean.values()))
         num = {w: c.numerator * (den // c.denominator) for w, c in clean.items()}
         _store(self, g, trunc, num, den)
-
-    def __setattr__(self, name, value=None):
-        raise AttributeError("Tensor is immutable")
-
-    __delattr__ = __setattr__
 
     @property
     def terms(self):
@@ -97,21 +127,14 @@ class Tensor:
     def constant_term(self):
         return Fraction(self.num.get((), 0), self.den)
 
-    def __eq__(self, other):
-        if not isinstance(other, Tensor):
-            return NotImplemented
-        return (
-            self.g == other.g
-            and self.trunc == other.trunc
-            and self.den == other.den
-            and self.num == other.num
-        )
-
     def __hash__(self):
         return hash((self.g, self.trunc, self.den, frozenset(self.num.items())))
 
     def __repr__(self):
         return "Tensor(g=%d, trunc=%d, %s)" % (self.g, self.trunc, render(self))
+
+    def __reduce__(self):
+        return (_tensor, self._key(self))
 
     # -- linear structure ---------------------------------------------
 

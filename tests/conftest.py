@@ -1,7 +1,10 @@
 import random
+import sys
 from math import gcd
 
 import pytest
+
+sys.dont_write_bytecode = True  # before twistcalc is imported, so no .pyc lands under src/
 
 from twistcalc import default_expansion
 from twistcalc.surface import commutator_barcode

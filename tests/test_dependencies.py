@@ -33,12 +33,12 @@ def test_modules_import_only_the_standard_library():
 
 def test_cli_start_up_leaves_out_dataclasses_and_inspect():
     # -I -S: no site hooks or environment paths, so only twistcalc's own
-    # imports can load a module.
+    # imports can load a module; -B: no bytecode written under src/.
     code = (
         "import sys; sys.path.insert(0, %r); import twistcalc.cli; "
         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))" % str(SRC.parent)
     )
     out = subprocess.run(
-        [sys.executable, "-I", "-S", "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"

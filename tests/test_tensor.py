@@ -90,6 +90,13 @@ def test_equality_compares_genus_and_truncation():
     assert Tensor.zero(G, N) != Tensor.zero(3, N)
 
 
+def test_constructor_checks_the_indices_of_every_word():
+    assert Tensor(G, 1, {(A1, B1): 1, (A1,): 0}).is_zero()
+    for terms in ({(9, 9): 1}, {(9,): 1}, {(0,): 0}):
+        with pytest.raises(DomainError, match="^generator index [09] out of range$"):
+            Tensor(G, 1, terms)
+
+
 # -- product -------------------------------------------------------------
 
 

@@ -1,5 +1,7 @@
-"""The contract of the five value types: immutable, equal and hashed by their
-fields, pickled and copied by value, with pinned reprs and validation."""
+"""The contract of the value types, the subclasses of ``tensor.Value``:
+immutable, equal and hashed by their fields, pickled and copied by value,
+with pinned reprs and validation.  ``Tensor`` and ``DiagramSum`` keep that
+contract with a hash and a pickle of their own."""
 
 import copy
 import pickle
@@ -8,11 +10,11 @@ from fractions import Fraction
 import pytest
 
 from twistcalc.casson import CassonReport
-from twistcalc.diagrams import TreeDiagram
+from twistcalc.diagrams import DiagramSum, TreeDiagram, tree
 from twistcalc.johnson import TwistEntry
 from twistcalc.psi_data import PsiTwist
 from twistcalc.surface import HVector
-from twistcalc.tensor import DomainError
+from twistcalc.tensor import DomainError, Tensor
 
 A1 = HVector.basis(2, 1)
 B1 = HVector.basis(2, 3)
@@ -86,6 +88,21 @@ def test_pickle_and_copy_keep_the_value(cls, names, values, text):
     assert copy.deepcopy(obj) == obj
 
 
+def test_tensor_and_diagram_sum_copy_and_pickle_by_value():
+    t = Tensor(2, 3, {(1,): Fraction(1, 3), (2, 3): Fraction(-5, 6)})
+    d = tree(A1, B1, A1) + tree(B1, A1, B1)
+    for obj in (t, d):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert twin == obj and twin.__class__ is obj.__class__
+    assert t.den == 6
+    with pytest.raises(TypeError):
+        hash(DiagramSum())
+    via_sum = Tensor(2, 3, {(1,): Fraction(1, 6)}) + Tensor(2, 3, {(1,): Fraction(1, 6)})
+    assert via_sum == Tensor(2, 3, {(1,): Fraction(1, 3)})
+    assert hash(via_sum) == hash(Tensor(2, 3, {(1,): Fraction(1, 3)}))
+    assert hash(Tensor.one(2, 3).scale(2) - Tensor.one(2, 3)) == hash(Tensor.one(2, 3))
+
+
 def test_distinct_fields_compare_unequal():
     assert TwistEntry(1, 1, (1, -2, -1, 2)) != TwistEntry(-1, 1, (1, -2, -1, 2))
     assert HVector((1, 0, 0, 0)) != HVector((0, 1, 0, 0))
@@ -97,6 +114,17 @@ def test_hvector_coords_become_a_tuple_of_ints():
     v = HVector(iter([1.0, 0, True, -2]))
     assert v.coords == (1, 0, 1, -2)
     assert all(type(c) is int for c in v.coords)
+
+
+def test_hvector_rejects_non_integral_coordinates():
+    for make in (
+        lambda: HVector((0.5, 0, 0, 0)),
+        lambda: Fraction(1, 2) * HVector.basis(2, 1),
+        lambda: HVector(("7", 0, 0, 0)),
+    ):
+        with pytest.raises(DomainError, match="^homology coordinates must be integers$"):
+            make()
+    assert Fraction(4, 2) * HVector.basis(2, 1) == HVector((2, 0, 0, 0))
 
 
 def test_twist_entry_validation():
