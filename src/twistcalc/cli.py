@@ -63,15 +63,24 @@ def format_twist_file(entries):
     return "\n".join(lines) + "\n"
 
 
+def _decode(data):
+    """data as UTF-8 text; a TwistFileError names the line of its first bad byte."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = len((data[: e.start].decode("utf-8") + ".").splitlines())
+        raise TwistFileError("line %d: not UTF-8 text" % lineno)
+
+
 def _load_entries(path, g):
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         raise SystemExit(EXIT_USAGE)
     try:
-        return parse_twist_file(text, g)
+        return parse_twist_file(_decode(data), g)
     except TwistFileError as e:
         print("parse error: %s" % e, file=sys.stderr)
         raise SystemExit(EXIT_USAGE)

@@ -120,8 +120,9 @@ def eta(d, trunc=5, g=None):
     """Expand a DiagramSum into the tensor algebra over genus g.
 
     With g None the genus is read from the labels of the first node.  Raises
-    DegreeMismatchError when a node's labels have another genus.  N is
-    linear, so the readings are summed first and cyclicized once.
+    DegreeMismatchError when a node's labels have another genus, and
+    DomainError when trunc is below a tree's degree + 2, its reading's degree.
+    N is linear, so the readings are summed first and cyclicized once.
     """
     if g is None:
         some = next(iter(d.items), None)
@@ -132,6 +133,10 @@ def eta(d, trunc=5, g=None):
         h = _node_genus(node)
         if h != g:
             raise T.DegreeMismatchError("diagram labels have genus %d, not %d" % (h, g))
+        if len(node.labels) > trunc:
+            raise T.DomainError(
+                "a degree-%d tree needs truncation >= %d" % (node.degree, len(node.labels))
+            )
     return T.cyclicize(
         T.combination(g, trunc, ((c, _eta_node(node, g, trunc)) for node, c in d.items.items()))
     )

@@ -1,16 +1,15 @@
 """Johnson homomorphisms of twist products via the Kawazumi-Kuno maps.
 
-L_k evaluates the degree-k part of (1/2) N(l(x)^2) on a null-homologous
-barcode, reading l = log theta only through degree k-2 and pairing the
-symmetric summands N(l_i l_{k-i}) = N(l_{k-i} l_i).  twist_sum folds a
-signed twist list into sum c L_4 (tau_2) and sum c L_5 (tau_3 when tau_2
-vanishes), reading both from one log theta per twist; as N is linear, it
-sums the twists' products before N and cyclicizes once per degree.
+L_k is the degree-k part of (1/2) N(l^2), l = log theta of a null-homologous
+barcode; twist_sum gives sum c L_4 (tau_2) and sum c L_5 (tau_3 when tau_2
+vanishes) of a signed twist list from one log theta per twist.  Both are one
+int fold that sums the twists' products before N and turns the middle
+square l_{k/2}^2 only k/2 times.
 A homogeneous tensor is itself a derivation, read as a Hom(H, .) map
 through the duality x -> omega(x, -).
 """
 
-from fractions import Fraction
+from math import lcm
 
 from . import tensor as T
 from .expansion import log_theta
@@ -31,70 +30,65 @@ class TwistEntry(T.Value):
         object.__setattr__(self, "barcode", tuple(barcode))
 
 
-def _check_degree(exp, k):
+def _fold(exp, twists, low, k):
+    """[sum c L_j for j = low..k] over (c, barcode) pairs, as in L_k: each l
+    bucketed by degree over l.den, each degree summed in int dicts over one den.
+    """
     if not 4 <= k <= exp.trunc:
         raise T.DomainError("L_k needs 4 <= k <= truncation degree")
-
-
-def _log_parts(exp, bc, k):
-    """The homogeneous parts l_0, ..., l_{k-2} of l = log(theta(bc)).
-
-    theta and log are evaluated at degree k-2, the last one L_k reads; the
-    parts are lifted to the output truncation exp.trunc.
-    """
-    _check_degree(exp, k)
-    l = log_theta(exp, bc, k - 2)
-    parts = [
-        T._tensor(exp.g, exp.trunc, {w: c for w, c in l.num.items() if len(w) == i}, l.den)
-        for i in range(k - 1)
-    ]
-    if not parts[1].is_zero():
-        raise T.DomainError("barcode is not null-homologous")
-    return parts
-
-
-def _pairs(parts, k):
-    """The paired Kawazumi-Kuno sum of L_k before N, from the parts of _log_parts.
-
-    Reads parts[2..k-2] only, so parts taken for a higher degree serve too.
-    """
-    return T.combination(
-        parts[0].g,
-        parts[0].trunc,
-        (
-            (Fraction(1, 2) if 2 * i == k else 1, T.product(parts[i], parts[k - i]))
-            for i in range(2, k // 2 + 1)
-        ),
-    )
+    logs = []
+    for c, bc in twists:
+        l = log_theta(exp, bc, k - 2)
+        parts = [[] for _ in range(k - 1)]
+        for w, v in l.num.items():
+            parts[len(w)].append((w, v))
+        if parts[1]:
+            raise T.DomainError("barcode is not null-homologous")
+        logs.append((c, c.denominator * l.den * l.den, parts))
+    den = lcm(*(d for _, d, _ in logs))
+    sums = []
+    for j in range(low, k + 1):
+        cross, square = {}, {}
+        for c, d, parts in logs:
+            f = c.numerator * (den // d)
+            for i in range(2, j // 2 + 1):
+                acc = square if 2 * i == j else cross
+                for u, a in parts[i]:
+                    fa = f * a
+                    for v, b in parts[j - i]:
+                        w = u + v
+                        acc[w] = acc.get(w, 0) + fa * b
+        num = {}
+        for turns, acc in ((range(j), cross), (range(j // 2), square)):
+            for w, v in acc.items():
+                for r in turns:
+                    x = w[r:] + w[:r]
+                    num[x] = num.get(x, 0) + v
+        sums.append(T._tensor(exp.g, exp.trunc, num, den))
+    return sums
 
 
 def L_k(exp, bc, k):
     """Degree-k part of the Kawazumi-Kuno tensor for a null-homologous barcode.
 
-    The degree-k part of (1/2) N(l^2) is (1/2) sum_{i=2}^{k-2} N(l_i l_{k-i}),
-    where l_i is the degree-i part of l = log(theta(bc)); it reads l only
-    through degree k-2, so theta and log are evaluated at that degree.  As
-    N(xy) = N(yx) for homogeneous x, y, the summands i and k-i are paired:
-    L_k = N(sum_{2 <= i < k-i} l_i l_{k-i} + [k even] (1/2) l_{k/2}^2).
+    It is (1/2) sum_{i=2}^{k-2} N(l_i l_{k-i}), l_i the degree-i part of
+    l = log(theta(bc)), so theta and log are evaluated at degree k-2.  As
+    N(xy) = N(yx) for homogeneous x, y, the summands i and k-i pair up; for
+    |u| = |v| = i the turns r >= i of uv are the turns r < i of vu, so the
+    symmetric square needs no 1/2: with rot^r moving r first letters last,
+    L_k = N(sum_{2 <= i < k-i} l_i l_{k-i}) + [k even] sum_{r<k/2} rot^r(l_{k/2}^2).
     """
-    return T.cyclicize(_pairs(_log_parts(exp, bc, k), k))
+    return _fold(exp, ((1, bc),), k, k)[0]
 
 
 def twist_sum(exp, twists, k):
     """The signed sums [sum c L_4, ..., sum c L_k] over a twist list.
 
-    Each twist's log theta is evaluated once, at degree k-2, and every L_j
-    with j <= k is read from it.  N is linear, so each sum is
-    N(sum c pairs_j), cyclicized once per degree j rather than once per
-    twist.  The first sum is tau_2 of the product; the second, sum c L_5,
-    is its tau_3 only when the first vanishes.
+    Each log theta is evaluated once, at degree k-2.  The first sum is tau_2
+    of the product; the second, sum c L_5, is its tau_3 only when the first
+    vanishes.
     """
-    _check_degree(exp, k)
-    logs = [(entry.coeff, _log_parts(exp, entry.barcode, k)) for entry in twists]
-    return [
-        T.cyclicize(T.combination(exp.g, exp.trunc, ((c, _pairs(p, j)) for c, p in logs)))
-        for j in range(4, k + 1)
-    ]
+    return _fold(exp, ((e.coeff, e.barcode) for e in twists), 4, k)
 
 
 # -- derivations -------------------------------------------------------

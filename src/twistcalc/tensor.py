@@ -32,8 +32,10 @@ class Value:
     """An immutable value, equal, hashed, pickled and printed by its fields.
 
     The fields are the subclass's ``__slots__``, stored by its ``__init__``
-    through ``object.__setattr__``.  ``_key(obj)``, made once per class, reads
-    them as one tuple (a 1-tuple for one field), so hash(obj) == hash(fields).
+    through ``object.__setattr__``.  ``_key(obj)``, ``==`` and the hash are
+    made once per class around one attrgetter; ``_key`` gives a tuple (a
+    1-tuple for one field), so hash(obj) == hash(fields).  A class's own
+    ``__hash__`` is kept.
     """
 
     __slots__ = ()
@@ -41,20 +43,34 @@ class Value:
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         get = attrgetter(*cls.__slots__)
-        cls._key = staticmethod(get if len(cls.__slots__) > 1 else lambda obj: (get(obj),))
+        if len(cls.__slots__) > 1:
+            key = get
+
+            def __hash__(self):
+                return hash(get(self))
+
+        else:
+
+            def key(obj):
+                return (get(obj),)
+
+            def __hash__(self):
+                return hash((get(self),))
+
+        def __eq__(self, other):
+            if other.__class__ is not self.__class__:
+                return NotImplemented
+            return get(self) == get(other)
+
+        cls._key = staticmethod(key)
+        cls.__eq__ = __eq__
+        if "__hash__" not in cls.__dict__:
+            cls.__hash__ = __hash__
 
     def __setattr__(self, name, value=None):
         raise AttributeError("%s is immutable" % self.__class__.__name__)
 
     __delattr__ = __setattr__
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._key(self) == other._key(other)
-
-    def __hash__(self):
-        return hash(self._key(self))
 
     def __reduce__(self):
         return (self.__class__, self._key(self))

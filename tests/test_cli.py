@@ -138,6 +138,23 @@ def test_twist_genus_above_surface_genus_reports_line(tmp_path):
     assert err == "parse error: line 2: twist genus 2 exceeds surface genus 1\n"
 
 
+@pytest.mark.parametrize(
+    "data, lineno",
+    [
+        (b"\xff\n", 1),
+        (b"1 1 1 -2 -1 2\n1 1 1 \xe9 -1 2\n", 2),
+        (b"# caf\xc3\xa9\r\n1 1 1 -2 -1 2\r\n\n# \xc3", 4),
+    ],
+)
+def test_file_that_is_not_utf8_reports_line(tmp_path, data, lineno):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(data)
+    for argv in (("casson",), ("tau", "--level", "2")):
+        code, out, err = run_cli(*argv, "--file", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "parse error: line %d: not UTF-8 text\n" % lineno
+
+
 def test_casson_of_psi_file(psi_file):
     code, out, _ = run_cli("casson", "--file", psi_file)
     assert code == EXIT_OK

@@ -102,6 +102,21 @@ def test_eta_rejects_labels_of_another_genus():
         eta(tree(A1, A2, B1, B2) + tree(*genus3), N)
 
 
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_eta_rejects_a_truncation_below_the_reading(degree):
+    # A degree-d tree reads in degree d + 2; a lower truncation would drop
+    # every word of its reading and return 0.
+    d = tree(*(A1, B1, A2, B2, A1)[: degree + 2])
+    assert not eta(d, degree + 2).is_zero()
+    message = "a degree-%d tree needs truncation >= %d" % (degree, degree + 2)
+    for trunc in range(1, degree + 2):
+        with pytest.raises(DomainError, match=message):
+            eta(d, trunc)
+    if degree > 1:  # next to a degree-1 tree that fits
+        with pytest.raises(DomainError, match=message):
+            eta(tree(A1, B1, A2) + d, degree + 1)
+
+
 def module_reading(labels, g):
     """The bracket reading of the module docstring, before N, from public products."""
     hv = [Tensor(g, N, {(i + 1,): c for i, c in enumerate(v.coords)}) for v in labels]

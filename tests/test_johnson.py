@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_null_homologous_barcode, rng_for
+from conftest import assert_canonical, random_null_homologous_barcode, rng_for
 from twistcalc.diagrams import eta, morita_tau2, odot
 from twistcalc.expansion import default_expansion, theta
 from twistcalc.johnson import (
@@ -73,11 +73,12 @@ def test_L_k_conjugacy_and_inversion_invariance(exp_g2):
 
 
 def full_degree_L_k(exp, bc):
-    """{k: L_k} for k in (4, 5) by the formula (1/2) sum_{i=2}^{k-2} N(l_i l_{k-i}),
-    with l = log theta(bc) at the full truncation degree."""
+    """{k: L_k} for 4 <= k <= exp.trunc by the formula
+    (1/2) sum_{i=2}^{k-2} N(l_i l_{k-i}), with l = log theta(bc) at the full
+    truncation degree: every square l_{k/2}^2 turns k times and is halved."""
     l = log_series(theta(exp, bc))
     res = {}
-    for k in (4, 5):
+    for k in range(4, exp.trunc + 1):
         total = Tensor.zero(exp.g, exp.trunc)
         for i in range(2, k - 1):
             total = total + cyclicize(product(extract(l, i), extract(l, k - i)))
@@ -97,9 +98,35 @@ def test_L_k_matches_full_degree_formula(g, count):
         for d in range(1, N + 1):
             truncated = {w: c for w, c in full.terms.items() if len(w) <= d}
             assert theta(exp, bc, d) == Tensor(g, d, truncated)
-        expected = full_degree_L_k(exp, bc)
-        for k in (4, 5):
-            assert L_k(exp, bc, k) == expected[k]
+        for k, expected in full_degree_L_k(exp, bc).items():
+            got = L_k(exp, bc, k)
+            assert_canonical(got)
+            assert got == expected
+
+
+@pytest.mark.parametrize("g, trunc", [(1, 6), (1, 7), (2, 6), (2, 7)])
+def test_L_k_and_twist_sum_match_full_degree_formula_to_degree_7(g, trunc):
+    # Degrees 6 and 7 hold the squares l_3^2 and the pairs l_2 l_5, l_3 l_4.
+    exp = default_expansion(g, trunc)
+    rng = rng_for("full-degree-%d-%d" % (g, trunc))
+    barcodes = [random_null_homologous_barcode(rng, g) for _ in range(3)]
+    refs = {bc: full_degree_L_k(exp, bc) for bc in barcodes}
+    for bc, ref in refs.items():
+        for k, expected in ref.items():
+            got = L_k(exp, bc, k)
+            assert_canonical(got)
+            assert got == expected
+    coeffs = [-3, -1, 1, 2, Fraction(-1, 2), Fraction(2, 3)]
+    for n in (2, 3):
+        twists = [TwistEntry(rng.choice(coeffs), 1, bc) for bc in rng.sample(barcodes, n)]
+        sums = twist_sum(exp, twists, trunc)
+        assert len(sums) == trunc - 3
+        for k, got in zip(range(4, trunc + 1), sums):
+            assert_canonical(got)
+            expected = Tensor.zero(g, trunc)
+            for entry in twists:
+                expected = expected + refs[entry.barcode][k].scale(entry.coeff)
+            assert got == expected
 
 
 def test_L_k_rejects_non_null_homologous(exp_g2):
@@ -159,6 +186,7 @@ def test_twist_sum_matches_per_twist_L_k(g):
         sums = twist_sum(exp, twists, 5)
         assert len(sums) == 2
         for k, value in zip((4, 5), sums):
+            assert_canonical(value)
             expected = Tensor.zero(g, N)
             for entry in twists:
                 expected = expected + L_k(exp, entry.barcode, k).scale(entry.coeff)
