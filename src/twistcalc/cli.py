@@ -1,10 +1,12 @@
 """Command-line surface: expansion audit, tau computation, Casson reports,
 and the full embedded-dataset verification pipeline.
 
-Exit codes: 0 success, 1 mathematical mismatch, 2 usage or parse error.
+Exit codes: 0 success, 1 mathematical mismatch, 2 usage, file or parse error.
+A twist file's lines end at LF, CRLF or CR, and at no other character.
 """
 
 import argparse
+import re
 import sys
 
 from . import psi_data as P
@@ -18,6 +20,7 @@ from .tensor import DomainError, render
 EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
+_LINE_END = re.compile(r"\r\n?|\n")
 
 
 class TwistFileError(ValueError):
@@ -27,7 +30,7 @@ class TwistFileError(ValueError):
 def parse_twist_file(text, g):
     """Parse the twist-file grammar: records ``coeff genus k1 ... kn``."""
     entries = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(_LINE_END.split(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -63,27 +66,15 @@ def format_twist_file(entries):
     return "\n".join(lines) + "\n"
 
 
-def _decode(data):
-    """data as UTF-8 text; a TwistFileError names the line of its first bad byte."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as e:
-        lineno = len((data[: e.start].decode("utf-8") + ".").splitlines())
-        raise TwistFileError("line %d: not UTF-8 text" % lineno)
-
-
 def _load_entries(path, g):
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-    try:
-        return parse_twist_file(_decode(data), g)
-    except TwistFileError as e:
-        print("parse error: %s" % e, file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = len(_LINE_END.split(data[: e.start].decode("utf-8")))
+        raise TwistFileError("line %d: not UTF-8 text" % lineno)
+    return parse_twist_file(text, g)
 
 
 def cmd_check_expansion(args):
@@ -120,13 +111,8 @@ def cmd_casson(args):
 
 
 def cmd_export_psi(args):
-    text = format_twist_file(P.psi_twist_entries())
-    try:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as e:
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_USAGE
+    with open(args.out, "w", encoding="utf-8") as fh:
+        fh.write(format_twist_file(P.psi_twist_entries()))
     return EXIT_OK
 
 
@@ -216,7 +202,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.genus < 1:
         parser.error("--genus must be >= 1")
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as e:
+        print("error: %s" % e, file=sys.stderr)
+    except TwistFileError as e:
+        print("parse error: %s" % e, file=sys.stderr)
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -17,10 +17,10 @@ from .surface import barcode_letters, boundary_barcode
 class SymplecticExpansion:
     """Log-values l(alpha_i), l(beta_i) of a symplectic expansion, 1-indexed.
 
-    Immutable.  Each log-value l must satisfy antipode(l) = -l, as every Lie
-    series does, so that the inverse letter's value exp(-l) is
-    antipode(exp(l)).  The letter values are kept once, scaled by m^|w| and
-    bucketed by degree for tensor._mul, which serves every degree 1..trunc.
+    g of each, of genus g and truncation trunc; each l satisfies antipode(l) = -l,
+    as every Lie series does, so that exp(-l), the inverse letter's value, is
+    antipode(exp(l)).  The letter values are built once, scaled by m^|w| and
+    bucketed by degree for tensor._mul; setting an attribute does not rebuild them.
     """
 
     def __init__(self, g, trunc, log_alpha, log_beta):
@@ -28,13 +28,15 @@ class SymplecticExpansion:
         self.trunc = trunc
         self.log_alpha = list(log_alpha)
         self.log_beta = list(log_beta)
+        if len(self.log_alpha) != g or len(self.log_beta) != g:
+            raise T.DomainError("expected %d alpha and %d beta log-values" % (g, g))
         full = {}
         for idx, l in enumerate(self.log_alpha + self.log_beta, start=1):
+            what = "log-value of generator %d (%s)" % (idx, T.generator_name(g, idx))
+            if (l.g, l.trunc) != (g, trunc):
+                raise T.DomainError(what + " has genus %d and truncation %d" % (l.g, l.trunc))
             if T.antipode(l) != -l:
-                raise T.DomainError(
-                    "log-value of generator %d (%s) fails antipode(l) = -l, "
-                    "which every Lie series satisfies" % (idx, T.generator_name(g, idx))
-                )
+                raise T.DomainError(what + " fails antipode(l) = -l, as no Lie series does")
             full[idx, 1] = T.exp_series(l)
             full[idx, -1] = T.antipode(full[idx, 1])
         # Every constant term is exactly 1 and every den divides m, so the
@@ -44,21 +46,6 @@ class SymplecticExpansion:
             key: T._bucket({w: c * m ** len(w) // t.den for w, c in t.num.items()}, trunc)
             for key, t in full.items()
         }
-
-    def _scaled_letters(self, degree):
-        if not 1 <= degree <= self.trunc:
-            raise T.DomainError("evaluation degree must be in 1..truncation degree")
-        return self._table
-
-    def _unscaled(self, degree, pairs):
-        """The tensor at truncation degree of scaled (word, value) pairs."""
-        shift = [self._m ** (degree - k) for k in range(degree + 1)]
-        return T._tensor(self.g, degree, {w: c * shift[len(w)] for w, c in pairs}, shift[0])
-
-    def letter_values(self, degree):
-        """theta of each letter at the given degree, keyed by (index, sign)."""
-        table = self._scaled_letters(degree)
-        return {k: self._unscaled(degree, [((), c0)] + f[degree]) for k, (c0, f) in table.items()}
 
 
 def default_expansion(g, trunc=5):
@@ -80,11 +67,9 @@ def default_expansion(g, trunc=5):
     b = [T.Tensor.generator(g, trunc, g + i) for i in range(1, g + 1)]
     log_alpha = []
     log_beta = []
+    lower = T.Tensor.zero(g, trunc)  # sum_{j<i} [a_j,b_j]
     for i in range(g):
         ab = T.bracket(a[i], b[i])
-        lower = T.Tensor.zero(g, trunc)
-        for j in range(i):
-            lower = lower + T.bracket(a[j], b[j])
         log_alpha.append(
             a[i]
             - half * ab
@@ -98,6 +83,7 @@ def default_expansion(g, trunc=5):
             + twelfth * T.bracket(a[i], ab)
             + half * T.bracket(b[i], lower)
         )
+        lower = lower + ab
     return SymplecticExpansion(g, trunc, log_alpha, log_beta)
 
 
@@ -108,11 +94,14 @@ def theta(exp, bc, degree=None):
     equals the full-degree theta with its words longer than ``degree`` dropped.
     """
     degree = exp.trunc if degree is None else degree
-    table = exp._scaled_letters(degree)
+    if not 1 <= degree <= exp.trunc:
+        raise T.DomainError("evaluation degree must be in 1..truncation degree")
+    table = exp._table
     num = {(): 1}
     for key in barcode_letters(bc, exp.g):
         num = T._mul(num, *table[key], degree)
-    return exp._unscaled(degree, num.items())
+    shift = [exp._m ** (degree - k) for k in range(degree + 1)]
+    return T._tensor(exp.g, degree, {w: c * shift[len(w)] for w, c in num.items()}, shift[0])
 
 
 def log_theta(exp, bc, degree=None):

@@ -9,6 +9,7 @@ A homogeneous tensor is itself a derivation, read as a Hom(H, .) map
 through the duality x -> omega(x, -).
 """
 
+from fractions import Fraction
 from math import lcm
 
 from . import tensor as T
@@ -21,6 +22,8 @@ class TwistEntry(T.Value):
     __slots__ = ("coeff", "genus", "barcode")
 
     def __init__(self, coeff, genus, barcode):
+        if not isinstance(coeff, (int, Fraction)):
+            raise T.DomainError("twist exponent must be an int or a Fraction")
         if coeff == 0:
             raise T.DomainError("twist exponent must be nonzero")
         if genus not in (1, 2):

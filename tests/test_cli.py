@@ -1,4 +1,7 @@
 import io
+import json
+import os
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -144,6 +147,7 @@ def test_twist_genus_above_surface_genus_reports_line(tmp_path):
         (b"\xff\n", 1),
         (b"1 1 1 -2 -1 2\n1 1 1 \xe9 -1 2\n", 2),
         (b"# caf\xc3\xa9\r\n1 1 1 -2 -1 2\r\n\n# \xc3", 4),
+        (b"# note\x0cpage\n1 1 1 \xe9 -1 2\n", 2),
     ],
 )
 def test_file_that_is_not_utf8_reports_line(tmp_path, data, lineno):
@@ -153,6 +157,49 @@ def test_file_that_is_not_utf8_reports_line(tmp_path, data, lineno):
         code, out, err = run_cli(*argv, "--file", str(path))
         assert (code, out) == (EXIT_USAGE, "")
         assert err == "parse error: line %d: not UTF-8 text\n" % lineno
+
+
+# Only \n, \r\n and \r end a line; str.splitlines() also breaks at these.
+NOT_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"]
+
+
+@pytest.mark.parametrize("char", NOT_LINE_BREAKS)
+def test_comment_with_other_break_characters_is_one_line(tmp_path, char):
+    record = "1 1 1 -2 -1 2\n"
+    text = record + "# note%spage\n" % char + record
+    assert parse_twist_file(text, 2) == parse_twist_file(record * 2, 2)
+    with pytest.raises(TwistFileError, match=r"^line 4: fields must be signed integers$"):
+        parse_twist_file(text + "1 1 x\n", 2)
+    path = tmp_path / "bad.txt"
+    path.write_text(text + "1 1 1 -2\n", encoding="utf-8")
+    code, out, err = run_cli("casson", "--file", str(path))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err == "parse error: line 4: barcode is not null-homologous\n"
+
+
+@pytest.mark.parametrize("newline", ["\r", "\r\n"])
+def test_cr_and_crlf_line_ends_parse_like_lf(newline):
+    text = format_twist_file(psi_twist_entries())
+    assert parse_twist_file(text.replace("\n", newline), 2) == parse_twist_file(text, 2)
+    bad = "# head\n1 1 1 -2 -1 2\n\n1 1 1 -2\n".replace("\n", newline)
+    with pytest.raises(TwistFileError, match=r"^line 4: barcode is not null-homologous$"):
+        parse_twist_file(bad, 2)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("casson", "--file", "{tmp}/missing.txt"),
+        ("tau", "--level", "2", "--file", "{tmp}"),
+        ("export-psi", "--out", "{tmp}/missing/x"),
+    ],
+    ids=["casson-missing-file", "tau-directory", "export-psi-missing-dir"],
+)
+def test_os_error_exits_with_usage_code(tmp_path, argv):
+    code, out, err = run_cli(*(a.format(tmp=tmp_path) for a in argv))
+    assert (code, out) == (EXIT_USAGE, "")
+    assert err.startswith("error: [Errno ")
+    assert err.endswith("\n") and err.count("\n") == 1
 
 
 def test_casson_of_psi_file(psi_file):
@@ -210,3 +257,46 @@ def test_verify_psi_corrupted_fails_on_tau2(monkeypatch):
 def test_output_is_deterministic(psi_file):
     runs = {run_cli("tau", "--level", "3", "--file", psi_file)[1] for _ in range(3)}
     assert len(runs) == 1
+
+
+# -- golden stdout ----------------------------------------------------------
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
+TWO_TWISTS = "-3 2 3 -4 -3 4 1 -2 -1 2\n-1 1 -2 1 2 -1 -4 1 -2 -1 4 1 -2 -1 2 2\n"
+GOLDEN_COMMANDS = [
+    ["verify-psi"],
+    ["tau", "--level", "2", "--file", "{psi}"],
+    ["tau", "--level", "3", "--file", "{psi}"],
+    ["casson", "--file", "{psi}"],
+    ["--genus", "2", "check-expansion"],
+    ["--genus", "3", "check-expansion"],
+    ["tau", "--level", "3", "--unsafe", "--file", "{two}"],
+]
+
+
+def golden_runs(tmp):
+    """[argv, exit code, stdout] of each golden command; {psi} is the exported
+    psi file and {two} a file of two twists, both written under tmp."""
+    paths = {"psi": os.path.join(tmp, "psi.txt"), "two": os.path.join(tmp, "two.txt")}
+    assert run_cli("export-psi", "--out", paths["psi"])[0] == EXIT_OK
+    with open(paths["two"], "w", encoding="utf-8") as fh:
+        fh.write(TWO_TWISTS)
+    runs = []
+    for argv in GOLDEN_COMMANDS:
+        code, out, _ = run_cli(*(a.format(**paths) for a in argv))
+        runs.append([argv, code, out])
+    return runs
+
+
+def test_cli_stdout_matches_golden(tmp_path):
+    with open(GOLDEN, encoding="utf-8") as fh:
+        assert golden_runs(str(tmp_path)) == json.load(fh)
+
+
+if __name__ == "__main__":
+    # Rewrite the golden file from this tree: PYTHONPATH=src python -B tests/test_cli.py
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = golden_runs(tmp)
+    with open(GOLDEN, "w", encoding="utf-8") as fh:
+        json.dump(runs, fh, indent=1)
+        fh.write("\n")

@@ -73,13 +73,29 @@ def test_expansion_rejects_log_value_that_is_not_lie():
         SymplecticExpansion(1, 5, exp.log_alpha, [product(a[0], b[0])])
 
 
+@pytest.mark.parametrize(
+    "g, source, n_alpha, n_beta, message",
+    [
+        (2, (2, 3), 2, 2, r"generator 1 \(a1\) has genus 2 and truncation 3$"),
+        (2, (3, 5), 2, 2, r"generator 1 \(a1\) has genus 3 and truncation 5$"),
+        (2, (2, 5), 1, 1, r"^expected 2 alpha and 2 beta log-values$"),
+        (2, (3, 5), 3, 3, r"^expected 2 alpha and 2 beta log-values$"),
+    ],
+    ids=["short-truncation", "other-genus", "one-handle-at-genus-2", "three-handles-at-genus-2"],
+)
+def test_expansion_rejects_log_values_that_do_not_fit(g, source, n_alpha, n_beta, message):
+    exp = default_expansion(*source)
+    with pytest.raises(DomainError, match=message):
+        SymplecticExpansion(g, 5, exp.log_alpha[:n_alpha], exp.log_beta[:n_beta])
+
+
 @pytest.mark.parametrize("g", [1, 2, 3])
 def test_inverse_letter_values_are_inverse(g):
     exp = default_expansion(g, 5)
     for degree in range(1, 6):
-        letters = exp.letter_values(degree)
-        for idx in range(1, 2 * g + 1):
-            assert product(letters[idx, 1], letters[idx, -1]) == Tensor.one(g, degree)
+        for k in range(1, 2 * g + 1):
+            pair = theta(exp, (k,), degree), theta(exp, (-k,), degree)
+            assert product(*pair) == Tensor.one(g, degree)
 
 
 def test_antipode_of_exp_is_exp_of_negative_on_lie_series():
@@ -183,7 +199,10 @@ def test_integer_theta_matches_product_fold(make, g):
     bcs = theta_test_barcodes(rng, g)
     for degree in range(1, trunc + 1):
         letters = {key: Tensor(g, degree, dict(t.terms)) for key, t in full.items()}
-        assert exp.letter_values(degree) == letters
+        for k in range(-2 * g, 2 * g + 1):
+            if k:
+                (key,) = barcode_letters((k,), g)
+                assert theta(exp, (k,), degree) == letters[key]
         for bc in bcs:
             want = Tensor.one(g, degree)
             for key in barcode_letters(bc, g):

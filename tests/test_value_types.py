@@ -136,6 +136,13 @@ def test_twist_entry_validation():
             TwistEntry(1, genus, (1, -2, -1, 2))
 
 
+def test_twist_entry_coefficient_is_an_int_or_a_fraction():
+    assert TwistEntry(Fraction(-1, 2), 1, (1, -2, -1, 2)).coeff == Fraction(-1, 2)
+    for coeff in (0.5, 1.0, "x"):
+        with pytest.raises(DomainError, match="^twist exponent must be an int or a Fraction$"):
+            TwistEntry(coeff, 1, (1, -2, -1, 2))
+
+
 def test_tree_diagram_validation():
     assert TreeDiagram([A1, B1, A1, B1]).labels == (A1, B1, A1, B1)
     assert [TreeDiagram((A1,) * n).degree for n in (3, 4, 5)] == [1, 2, 3]
