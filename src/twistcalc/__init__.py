@@ -22,6 +22,7 @@ from .surface import (
     barcode_homology,
     boundary_barcode,
     commutator_barcode,
+    cyclic_reduce,
     free_reduce,
     omega,
 )
@@ -33,7 +34,7 @@ from .johnson import (
     derivation_bracket,
     twist_sum,
 )
-from .diagrams import DiagramSum, TreeDiagram, eta, kappa, morita_tau2, odot, tree
+from .diagrams import DiagramSum, TreeDiagram, eta, kappa, morita_tau2, odot, tree, tree_sum
 from .casson import (
     CassonReport,
     CertificateError,

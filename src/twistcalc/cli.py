@@ -21,6 +21,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 _LINE_END = re.compile(r"\r\n?|\n")
+_FIELD = re.compile(r"[+-]?[0-9]+")
 
 
 class TwistFileError(ValueError):
@@ -28,16 +29,16 @@ class TwistFileError(ValueError):
 
 
 def parse_twist_file(text, g):
-    """Parse the twist-file grammar: records ``coeff genus k1 ... kn``."""
+    """Parse the twist-file grammar: records ``coeff genus k1 ... kn`` of ASCII integers."""
     entries = []
     for lineno, raw in enumerate(_LINE_END.split(text), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        try:
-            fields = [int(tok) for tok in line.split()]
-        except ValueError:
+        tokens = line.split()
+        if not all(map(_FIELD.fullmatch, tokens)):
             raise TwistFileError("line %d: fields must be signed integers" % lineno)
+        fields = list(map(int, tokens))
         if len(fields) < 2:
             raise TwistFileError("line %d: expected 'coeff genus k1 ... kn'" % lineno)
         try:

@@ -16,6 +16,7 @@ coefficients and cyclicizes once.
 
 from fractions import Fraction
 from itertools import chain, combinations
+from math import lcm
 
 from . import tensor as T
 from .surface import omega
@@ -85,6 +86,17 @@ class DiagramSum(T.Value):
         return self.scale(scalar)
 
 
+def tree_sum(terms):
+    """The DiagramSum sum c T(labels) over (c, labels) pairs, each c an int or a
+    Fraction, accumulated in one dict: a tree is hashed a fixed number of times,
+    not once per partial sum as in a sum of DiagramSums."""
+    items = {}
+    for c, labels in terms:
+        node = TreeDiagram(labels)
+        items[node] = items.get(node, 0) + c
+    return DiagramSum(items)
+
+
 def tree(*labels):
     """A single tree as a DiagramSum."""
     return DiagramSum({TreeDiagram(labels): 1})
@@ -95,25 +107,30 @@ def odot(u, v):
     return DiagramSum({TreeDiagram((u, v, u, v)): Fraction(1, 2)})
 
 
-def _hv_tensor(v, g, trunc):
-    """The degree-1 tensor of an HVector of length 2g (checked by eta)."""
-    return T._tensor(g, trunc, {(i + 1,): c for i, c in enumerate(v.coords)})
+def _times(x, y):
+    """The product of two (word, int) lists."""
+    return [(u + v, a * b) for u, a in x for v, b in y]
 
 
-def _eta_node(node, g, trunc):
-    """The bracket reading of a node, before N."""
-    labels = [_hv_tensor(v, g, trunc) for v in node.labels]
-    if node.degree == 1:
+def _bracket(x, y):
+    """The commutator xy - yx of two (word, int) lists."""
+    return _times(x, y) + [(w, -c) for w, c in _times(y, x)]
+
+
+def _reading(labels):
+    """The bracket reading of a tree, before N, as (word, int) pairs."""
+    x = [[((i,), c) for i, c in enumerate(v.coords, 1) if c] for v in labels]
+    if len(x) == 3:
         # Rooting at the first leaf, the remaining two read bracketed in
         # reversed order; this sign choice is what balances the published
         # bracket decomposition end to end.
-        a, b, c = labels
-        return T.product(a, T.bracket(c, b))
-    if node.degree == 2:
-        a, b, c, d = labels
-        return T.product(T.bracket(a, b), T.bracket(c, d))
-    a, b, c, d, e = labels
-    return T.product(T.bracket(a, b), T.bracket(c, T.bracket(d, e)))
+        a, b, c = x
+        return _times(a, _bracket(c, b))
+    if len(x) == 4:
+        a, b, c, d = x
+        return _times(_bracket(a, b), _bracket(c, d))
+    a, b, c, d, e = x
+    return _times(_bracket(a, b), _bracket(c, _bracket(d, e)))
 
 
 def eta(d, trunc=5, g=None):
@@ -122,14 +139,16 @@ def eta(d, trunc=5, g=None):
     With g None the genus is read from the labels of the first node.  Raises
     DegreeMismatchError when a node's labels have another genus, and
     DomainError when trunc is below a tree's degree + 2, its reading's degree.
-    N is linear, so the readings are summed first and cyclicized once.
+    N is linear, so the readings are summed as ints over one den and cyclicized once.
     """
     if g is None:
         some = next(iter(d.items), None)
         if some is None:
             raise T.DomainError("cannot infer the genus of an empty DiagramSum")
         g = _node_genus(some)
-    for node in d.items:
+    den = lcm(*(c.denominator for c in d.items.values()))
+    num = {}
+    for node, c in d.items.items():
         h = _node_genus(node)
         if h != g:
             raise T.DegreeMismatchError("diagram labels have genus %d, not %d" % (h, g))
@@ -137,9 +156,10 @@ def eta(d, trunc=5, g=None):
             raise T.DomainError(
                 "a degree-%d tree needs truncation >= %d" % (node.degree, len(node.labels))
             )
-    return T.cyclicize(
-        T.combination(g, trunc, ((c, _eta_node(node, g, trunc)) for node, c in d.items.items()))
-    )
+        f = c.numerator * (den // c.denominator)
+        for w, v in _reading(node.labels):
+            num[w] = num.get(w, 0) + f * v
+    return T.cyclicize(T._tensor(g, trunc, num, den))
 
 
 def _node_genus(node):
@@ -160,9 +180,9 @@ def morita_tau2(pairs):
             w, x = pairs[j]
             if any(omega(p, q) != 0 for p in (u, v) for q in (w, x)):
                 raise T.DomainError("pairs %d and %d are not orthogonal" % (j, i))
-    odots = (odot(u, v) for u, v in pairs)
-    trees = (tree(*p, *q) for p, q in combinations(pairs, 2))
-    return sum(chain(odots, trees), DiagramSum())
+    odots = ((Fraction(1, 2), (u, v, u, v)) for u, v in pairs)
+    trees = ((1, p + q) for p, q in combinations(pairs, 2))
+    return tree_sum(chain(odots, trees))
 
 
 # -- the mod-3 map kappa ------------------------------------------------

@@ -14,6 +14,7 @@ from math import lcm
 
 from . import tensor as T
 from .expansion import log_theta
+from .surface import cyclic_reduce, validate_barcode
 
 
 class TwistEntry(T.Value):
@@ -87,11 +88,13 @@ def L_k(exp, bc, k):
 def twist_sum(exp, twists, k):
     """The signed sums [sum c L_4, ..., sum c L_k] over a twist list.
 
-    Each log theta is evaluated once, at degree k-2.  The first sum is tau_2
-    of the product; the second, sum c L_5, is its tau_3 only when the first
-    vanishes.
+    Each log theta is evaluated once, at degree k-2, of the cyclically reduced
+    barcode: L_k is conjugation-invariant, as N kills the commutators that
+    conjugating l (l_1 = 0) adds to l^2.  The first sum is tau_2 of the
+    product; the second, sum c L_5, is its tau_3 only when the first vanishes.
     """
-    return _fold(exp, ((e.coeff, e.barcode) for e in twists), 4, k)
+    twists = [(e.coeff, cyclic_reduce(validate_barcode(e.barcode, exp.g))) for e in twists]
+    return _fold(exp, twists, 4, k)
 
 
 # -- derivations -------------------------------------------------------

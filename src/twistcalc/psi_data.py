@@ -7,7 +7,9 @@ subsurface.  The twist's barcode is derived from the spine as the product of
 the commutators u v u^-1 v^-1, and its genus as the number of pairs.
 """
 
-from .diagrams import DiagramSum, eta, odot, tree
+from fractions import Fraction
+
+from .diagrams import eta, odot, tree, tree_sum
 from .johnson import TwistEntry, derivation_bracket
 from .surface import HVector, barcode_homology, commutator_barcode, omega
 from .tensor import DomainError, Value
@@ -99,7 +101,7 @@ def expected_tau3():
         (1, (B2, A2, B2, A2, A1)),
         (-1, (B2, A2, B2, A2, B1)),
     ]
-    return sum((tree(*labels).scale(c) for c, labels in terms), DiagramSum())
+    return tree_sum(terms)
 
 
 def expected_tau3_compact():
@@ -110,7 +112,7 @@ def expected_tau3_compact():
         (-1, (A2 - A1, B1, B2, A2, B1 + B2)),
         (1, (B2, A2, 2 * A2 - 2 * A1 + B2, B1, A1)),
     ]
-    return sum((tree(*labels).scale(c) for c, labels in terms), DiagramSum())
+    return tree_sum(terms)
 
 
 def identity_lhs():
@@ -137,7 +139,7 @@ def identity_rhs():
         (-1, 2 * A1 + B2, B1 + A2),
         (1, A1 + B1 + A2, A1 + B1 + B2),
     ]
-    return sum((odot(u, v).scale(c) for c, u, v in terms), DiagramSum())
+    return tree_sum((Fraction(c, 2), (u, v, u, v)) for c, u, v in terms)
 
 
 def lemma_tree():

@@ -127,6 +127,15 @@ def free_reduce(bc):
     return tuple(out)
 
 
+def cyclic_reduce(bc):
+    """The cyclically reduced conjugate of a barcode: free_reduce, then cancel
+    inverse pairs (k, -k) across the two ends, so none is adjacent, even cyclically."""
+    bc = free_reduce(bc)
+    while len(bc) > 1 and bc[0] == -bc[-1]:
+        bc = bc[1:-1]
+    return bc
+
+
 def barcode_homology(bc, g):
     """The homology class of the word encoded by a barcode."""
     coords = [0] * (2 * g)

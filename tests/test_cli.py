@@ -142,6 +142,25 @@ def test_twist_genus_above_surface_genus_reports_line(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "field", ["1_0", "\uff11", "\u0661"], ids=["underscore", "fullwidth-one", "arabic-indic-one"]
+)
+def test_field_that_is_not_an_ascii_integer_reports_line(tmp_path, field):
+    # int() would read 1_0 as 10, and the full-width and Arabic-Indic ones as 1.
+    path = tmp_path / "digits.txt"
+    path.write_text("1 1 1 -2 -1 2\n%s 1 1 -2 -1 2\n" % field, encoding="utf-8")
+    for argv in (("casson",), ("tau", "--level", "2")):
+        code, out, err = run_cli(*argv, "--file", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "parse error: line 2: fields must be signed integers\n"
+
+
+@pytest.mark.parametrize("coeff, value", [("+3", 3), ("-03", -3)])
+def test_signs_and_leading_zeros_are_accepted(coeff, value):
+    (entry,) = parse_twist_file("%s 1 +1 -02 -1 02\n" % coeff, 2)
+    assert entry == TwistEntry(value, 1, (1, -2, -1, 2))
+
+
+@pytest.mark.parametrize(
     "data, lineno",
     [
         (b"\xff\n", 1),

@@ -1,10 +1,20 @@
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations
 
 import pytest
 
 from conftest import rng_for
-from twistcalc.diagrams import DiagramSum, eta, kappa, morita_tau2, odot, tree
+from twistcalc import psi_data
+from twistcalc.diagrams import (
+    DiagramSum,
+    TreeDiagram,
+    eta,
+    kappa,
+    morita_tau2,
+    odot,
+    tree,
+    tree_sum,
+)
 from twistcalc.surface import HVector
 from twistcalc.tensor import DegreeMismatchError, DomainError, Tensor, bracket, cyclicize, product
 
@@ -133,7 +143,7 @@ def module_reading(labels, g):
     return product(bracket(a, b), bracket(c, bracket(d, e)))
 
 
-@pytest.mark.parametrize("g", [2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3])
 def test_eta_is_the_sum_of_cyclicized_readings(g):
     # eta cyclicizes the sum of the readings once; the reference cyclicizes
     # each node's reading and sums the rational coefficients node by node.
@@ -150,6 +160,56 @@ def test_eta_is_the_sum_of_cyclicized_readings(g):
             for w, v in cyclicize(module_reading(labels, g)).terms.items():
                 terms[w] = terms.get(w, 0) + c * v
         assert eta(d, N, g) == Tensor(g, N, terms)
+
+
+# -- one-pass sums ---------------------------------------------------------
+
+
+def sum_of_diagram_sums(terms):
+    """The route tree_sum replaces: one DiagramSum per term, added one by one."""
+    return sum((tree(*labels).scale(c) for c, labels in terms), DiagramSum())
+
+
+@pytest.mark.parametrize(
+    "build", [psi_data.expected_tau3, psi_data.expected_tau3_compact, psi_data.identity_rhs]
+)
+def test_psi_sums_match_the_sum_of_diagram_sums(build, monkeypatch):
+    seen = []
+
+    def recording_tree_sum(terms):
+        seen.append(list(terms))
+        return tree_sum(seen[-1])
+
+    monkeypatch.setattr(psi_data, "tree_sum", recording_tree_sum)
+    got = build()
+    (terms,) = seen
+    assert got == sum_of_diagram_sums(terms)
+
+
+def test_morita_tau2_matches_the_sum_of_diagram_sums():
+    g = 3
+    a, b = ([HVector.basis(g, i + h) for i in range(1, g + 1)] for h in (0, g))
+    pairs = [(a[0], b[0]), (a[1] + a[2], b[1]), (a[2], b[2] - b[1])]
+    odots = (odot(u, v) for u, v in pairs)
+    trees = (tree(*p, *q) for p, q in combinations(pairs, 2))
+    assert morita_tau2(pairs) == sum(chain(odots, trees), DiagramSum())
+
+
+def test_tree_sum_merges_repeated_trees_and_drops_cancelled_ones():
+    rng = rng_for("tree-sum")
+    for _ in range(20):
+        pool = [tuple(random_hv(rng) for _ in range(rng.choice([3, 4, 5]))) for _ in range(4)]
+        terms = [
+            (rng.randint(-3, 3) * rng.choice((1, Fraction(1, rng.randint(2, 4)))), rng.choice(pool))
+            for _ in range(10)
+        ]
+        cancelled = rng.choice(pool)
+        terms.append((-sum(c for c, labels in terms if labels == cancelled), cancelled))
+        got = tree_sum(terms)
+        assert got == sum_of_diagram_sums(terms)
+        assert TreeDiagram(cancelled) not in got.items
+        assert 0 not in got.items.values()
+        assert all(type(c) is Fraction for c in got.items.values())
 
 
 # -- odot ----------------------------------------------------------------

@@ -2,9 +2,9 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_canonical, random_null_homologous_barcode, rng_for
+from conftest import assert_canonical, random_barcode, random_null_homologous_barcode, rng_for
 from twistcalc.diagrams import eta, morita_tau2, odot
-from twistcalc.expansion import default_expansion, theta
+from twistcalc.expansion import default_expansion, log_theta, theta
 from twistcalc.johnson import (
     L_k,
     TwistEntry,
@@ -12,7 +12,13 @@ from twistcalc.johnson import (
     derivation_bracket,
     twist_sum,
 )
-from twistcalc.surface import HVector, commutator_barcode, inverse_barcode
+from twistcalc.surface import (
+    BarcodeError,
+    HVector,
+    commutator_barcode,
+    cyclic_reduce,
+    inverse_barcode,
+)
 from twistcalc.psi_data import load_psi, psi_twist_entries
 from twistcalc.tensor import (
     DegreeMismatchError,
@@ -70,6 +76,44 @@ def test_L_k_conjugacy_and_inversion_invariance(exp_g2):
             ref = L_k(exp_g2, bc, k)
             assert L_k(exp_g2, rotated, k) == ref
             assert L_k(exp_g2, inverse_barcode(bc), k) == ref
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_L_k_of_a_conjugate_is_L_k_of_its_cyclic_reduction(g):
+    # twist_sum folds log theta of the cyclically reduced barcode; that is
+    # exact because L_k of a null-homologous word is invariant under
+    # conjugation, not only under the rotations above.
+    exp = default_expansion(g, N)
+    rng = rng_for("cyclic-reduce-L-%d" % g)
+    for _ in range(8):
+        x = random_barcode(rng, g, max_len=3)
+        bc = x + random_null_homologous_barcode(rng, g) + inverse_barcode(x)
+        reduced = cyclic_reduce(bc)
+        assert len(reduced) < len(bc)
+        for k in (4, 5):
+            assert L_k(exp, bc, k) == L_k(exp, reduced, k)
+
+
+def test_twist_sum_checks_the_letters_cyclic_reduction_cancels(exp_g2):
+    # alpha_3 is no letter at genus 2, even where it cancels.
+    with pytest.raises(BarcodeError, match="barcode entry 5 out of range for genus 2"):
+        twist_sum(exp_g2, [TwistEntry(1, 1, (5,) + S1 + (-5,))], 4)
+
+
+def test_twist_sum_reads_theta_of_cyclically_reduced_barcodes(exp_g2, monkeypatch):
+    # psi's 16 barcodes have 224 letters; their cyclic reductions have 176.
+    entries = psi_twist_entries()
+    assert sum(len(e.barcode) for e in entries) == 224
+    read = []
+
+    def recording_log_theta(exp, bc, degree=None):
+        read.append(bc)
+        return log_theta(exp, bc, degree)
+
+    monkeypatch.setattr("twistcalc.johnson.log_theta", recording_log_theta)
+    twist_sum(exp_g2, entries, 5)
+    assert read == [cyclic_reduce(e.barcode) for e in entries]
+    assert sum(map(len, read)) == 176
 
 
 def full_degree_L_k(exp, bc):

@@ -8,6 +8,7 @@ from twistcalc.surface import (
     barcode_letters,
     boundary_barcode,
     commutator_barcode,
+    cyclic_reduce,
     free_reduce,
     inverse_barcode,
     omega,
@@ -137,6 +138,38 @@ def test_free_reduce_confluent():
         expected = free_reduce(bc)
         for _ in range(3):
             assert random_order_reduce(rng, bc) == expected
+
+
+# -- cyclic reduction ------------------------------------------------------
+
+
+def test_cyclic_reduce_examples():
+    assert cyclic_reduce(()) == ()
+    assert cyclic_reduce((1, -1)) == ()
+    assert cyclic_reduce((1, 2, -1)) == (2,)
+    assert cyclic_reduce((3, 1, -2, -1, -3)) == (-2,)
+    assert cyclic_reduce((1, -1, 2, 1, -2)) == (1,)
+    assert cyclic_reduce((-3, 1, -2, -1, 2, 3)) == (1, -2, -1, 2)
+    assert cyclic_reduce((2, 1, -2, -1)) == (2, 1, -2, -1)
+
+
+def test_cyclic_reduce_strips_a_conjugating_prefix():
+    rng = rng_for("cyclic-reduce")
+    shorter = 0
+    for _ in range(100):
+        x = random_barcode(rng, G, max_len=4)
+        bc = x + random_barcode(rng, G, max_len=8) + inverse_barcode(x)
+        once = cyclic_reduce(bc)
+        assert cyclic_reduce(once) == once
+        # No inverse pair is adjacent; i = 0 compares the two ends.
+        assert all(once[i] != -once[i - 1] for i in range(len(once)))
+        # once is the middle of the freely reduced word, between x' and x'^-1.
+        reduced = free_reduce(bc)
+        k = (len(reduced) - len(once)) // 2
+        assert reduced[k : len(reduced) - k] == once
+        assert reduced[:k] == inverse_barcode(reduced[len(reduced) - k :])
+        shorter += len(once) < len(reduced)
+    assert shorter >= 80
 
 
 # -- homology and text form ----------------------------------------------
