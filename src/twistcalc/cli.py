@@ -2,7 +2,8 @@
 and the full embedded-dataset verification pipeline.
 
 Exit codes: 0 success, 1 mathematical mismatch, 2 usage, file or parse error.
-A twist file's lines end at LF, CRLF or CR, and at no other character.
+A twist file's lines end at LF, CRLF or CR, and at no other character; its
+fields are separated by ASCII spaces and tabs only.
 """
 
 import argparse
@@ -32,10 +33,10 @@ def parse_twist_file(text, g):
     """Parse the twist-file grammar: records ``coeff genus k1 ... kn`` of ASCII integers."""
     entries = []
     for lineno, raw in enumerate(_LINE_END.split(text), start=1):
-        line = raw.strip()
+        line = raw.strip(" \t")
         if not line or line.startswith("#"):
             continue
-        tokens = line.split()
+        tokens = [t for t in line.replace("\t", " ").split(" ") if t]
         if not all(map(_FIELD.fullmatch, tokens)):
             raise TwistFileError("line %d: fields must be signed integers" % lineno)
         fields = list(map(int, tokens))

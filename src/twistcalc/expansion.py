@@ -11,7 +11,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import tensor as T
-from .surface import barcode_letters, boundary_barcode
+from .surface import barcode_letters, boundary_barcode, validate_barcode
 
 
 class SymplecticExpansion:
@@ -20,7 +20,8 @@ class SymplecticExpansion:
     g of each, of genus g and truncation trunc; each l satisfies antipode(l) = -l,
     as every Lie series does, so that exp(-l), the inverse letter's value, is
     antipode(exp(l)).  The letter values are built once, scaled by m^|w| and
-    bucketed by degree for tensor._mul; setting an attribute does not rebuild them.
+    split by degree for each barcode entry; setting an attribute does not
+    rebuild them.
     """
 
     def __init__(self, g, trunc, log_alpha, log_beta):
@@ -42,10 +43,14 @@ class SymplecticExpansion:
         # Every constant term is exactly 1 and every den divides m, so the
         # scaled values are ints and the constant terms stay 1.
         self._m = m = lcm(*(t.den for t in full.values()))
-        self._table = {
-            key: T._bucket({w: c * m ** len(w) // t.den for w, c in t.num.items()}, trunc)
-            for key, t in full.items()
-        }
+        self._table = {}
+        for k in range(-2 * g, 2 * g + 1):
+            if k:
+                t = full[barcode_letters((k,), g)[0]]
+                self._table[k] = [
+                    [(w, c * m**d // t.den) for w, c in t.num.items() if len(w) == d]
+                    for d in range(trunc + 1)
+                ]
 
 
 def default_expansion(g, trunc=5):
@@ -87,6 +92,26 @@ def default_expansion(g, trunc=5):
     return SymplecticExpansion(g, trunc, log_alpha, log_beta)
 
 
+def _theta_parts(exp, bc, n):
+    """theta of a checked barcode at truncation n: parts[d] maps its degree-d
+    words to ints scaled by m^d.  Each letter value y multiplies in place, top
+    degree first: parts[d] += y_d + sum_{0<p<d} parts[p] y_(d-p)."""
+    parts = [{(): 1}] + [{} for _ in range(n)]
+    for k in bc:
+        y = exp._table[k]
+        for d in range(n, 0, -1):
+            acc = parts[d]
+            for w, c in y[d]:
+                acc[w] = acc.get(w, 0) + c
+            for p in range(1, d):
+                q = y[d - p]
+                for u, a in parts[p].items():
+                    for v, b in q:
+                        w = u + v
+                        acc[w] = acc.get(w, 0) + a * b
+    return parts
+
+
 def theta(exp, bc, degree=None):
     """Evaluate the expansion on a barcode: truncated product over letters.
 
@@ -96,12 +121,12 @@ def theta(exp, bc, degree=None):
     degree = exp.trunc if degree is None else degree
     if not 1 <= degree <= exp.trunc:
         raise T.DomainError("evaluation degree must be in 1..truncation degree")
-    table = exp._table
-    num = {(): 1}
-    for key in barcode_letters(bc, exp.g):
-        num = T._mul(num, *table[key], degree)
-    shift = [exp._m ** (degree - k) for k in range(degree + 1)]
-    return T._tensor(exp.g, degree, {w: c * shift[len(w)] for w, c in num.items()}, shift[0])
+    num = {}
+    for d, part in enumerate(_theta_parts(exp, validate_barcode(bc, exp.g), degree)):
+        s = exp._m ** (degree - d)
+        for w, c in part.items():
+            num[w] = c * s
+    return T._tensor(exp.g, degree, num, exp._m**degree)
 
 
 def log_theta(exp, bc, degree=None):

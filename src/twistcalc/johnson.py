@@ -10,10 +10,10 @@ through the duality x -> omega(x, -).
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from . import tensor as T
-from .expansion import log_theta
+from .expansion import _theta_parts
 from .surface import cyclic_reduce, validate_barcode
 
 
@@ -35,20 +35,27 @@ class TwistEntry(T.Value):
 
 
 def _fold(exp, twists, low, k):
-    """[sum c L_j for j = low..k] over (c, barcode) pairs, as in L_k: each l
-    bucketed by degree over l.den, each degree summed in int dicts over one den.
+    """[sum c L_j for j = low..k] over (c, checked barcode) pairs, as in L_k:
+    l = log(1 + y), y = theta - 1, on ints reduced by one gcd each, bucketed by
+    degree; each degree is summed in int dicts over one den.
     """
     if not 4 <= k <= exp.trunc:
         raise T.DomainError("L_k needs 4 <= k <= truncation degree")
+    n, m = k - 2, exp._m
     logs = []
     for c, bc in twists:
-        l = log_theta(exp, bc, k - 2)
-        parts = [[] for _ in range(k - 1)]
-        for w, v in l.num.items():
-            parts[len(w)].append((w, v))
-        if parts[1]:
+        th = _theta_parts(exp, bc, n)
+        if any(th[1].values()):
             raise T.DomainError("barcode is not null-homologous")
-        logs.append((c, c.denominator * l.den * l.den, parts))
+        y = {w: v * m ** (n - d) for d in range(2, n + 1) for w, v in th[d].items() if v}
+        q = gcd(m**n, *y.values())
+        l, den = T._log({w: v // q for w, v in y.items()}, m**n // q, n)
+        q = gcd(den, *l.values())
+        parts = [[] for _ in range(n + 1)]
+        for w, v in l.items():
+            if v:
+                parts[len(w)].append((w, v // q))
+        logs.append((c, c.denominator * (den // q) ** 2, parts))
     den = lcm(*(d for _, d, _ in logs))
     sums = []
     for j in range(low, k + 1):
@@ -65,8 +72,9 @@ def _fold(exp, twists, low, k):
         num = {}
         for turns, acc in ((range(j), cross), (range(j // 2), square)):
             for w, v in acc.items():
+                ww = w + w
                 for r in turns:
-                    x = w[r:] + w[:r]
+                    x = ww[r : r + j]
                     num[x] = num.get(x, 0) + v
         sums.append(T._tensor(exp.g, exp.trunc, num, den))
     return sums
@@ -82,7 +90,7 @@ def L_k(exp, bc, k):
     symmetric square needs no 1/2: with rot^r moving r first letters last,
     L_k = N(sum_{2 <= i < k-i} l_i l_{k-i}) + [k even] sum_{r<k/2} rot^r(l_{k/2}^2).
     """
-    return _fold(exp, ((1, bc),), k, k)[0]
+    return _fold(exp, ((1, validate_barcode(bc, exp.g)),), k, k)[0]
 
 
 def twist_sum(exp, twists, k):
@@ -93,7 +101,7 @@ def twist_sum(exp, twists, k):
     conjugating l (l_1 = 0) adds to l^2.  The first sum is tau_2 of the
     product; the second, sum c L_5, is its tau_3 only when the first vanishes.
     """
-    twists = [(e.coeff, cyclic_reduce(validate_barcode(e.barcode, exp.g))) for e in twists]
+    twists = [(e.coeff, cyclic_reduce(e.barcode, exp.g)) for e in twists]
     return _fold(exp, twists, 4, k)
 
 

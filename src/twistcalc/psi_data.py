@@ -9,7 +9,7 @@ the commutators u v u^-1 v^-1, and its genus as the number of pairs.
 
 from fractions import Fraction
 
-from .diagrams import eta, odot, tree, tree_sum
+from .diagrams import eta, tree, tree_sum
 from .johnson import TwistEntry, derivation_bracket
 from .surface import HVector, barcode_homology, commutator_barcode, omega
 from .tensor import DomainError, Value
@@ -117,7 +117,8 @@ def expected_tau3_compact():
 
 def identity_lhs():
     """Three times the genus-2 twist image: the left side of the 3 tau_2 identity."""
-    return (odot(A1, B1) + tree(A1, B1, A2, B2) + odot(A2, B2)).scale(3)
+    c = Fraction(3, 2)  # 3 u (.) v = (3/2) T(u, v, u, v)
+    return tree_sum([(c, (A1, B1, A1, B1)), (3, (A1, B1, A2, B2)), (c, (A2, B2, A2, B2))])
 
 
 def identity_rhs():
@@ -149,12 +150,8 @@ def lemma_tree():
 
 def lemma_odot_combination():
     """Its 4-term odot decomposition."""
-    return (
-        odot(A1, B1)
-        - odot(A1, B1 + A2)
-        - odot(A1 + A2, B1)
-        + odot(A1 + A2, B1 + A2)
-    )
+    terms = [(1, A1, B1), (-1, A1, B1 + A2), (-1, A1 + A2, B1), (1, A1 + A2, B1 + A2)]
+    return tree_sum((Fraction(c, 2), (u, v, u, v)) for c, u, v in terms)
 
 
 def bracket_decomposition_value():

@@ -115,9 +115,10 @@ def boundary_barcode(g):
     return sum((commutator_barcode((-2 * i,), (2 * i - 1,)) for i in range(1, g + 1)), ())
 
 
-def free_reduce(bc):
-    """Cancel adjacent inverse pairs (k, -k) until none remain."""
-    bc = validate_barcode(bc)
+def free_reduce(bc, g=None):
+    """validate_barcode(bc, g), then cancel adjacent inverse pairs (k, -k)
+    until none remain."""
+    bc = validate_barcode(bc, g)
     out = []
     for k in bc:
         if out and out[-1] == -k:
@@ -127,10 +128,11 @@ def free_reduce(bc):
     return tuple(out)
 
 
-def cyclic_reduce(bc):
-    """The cyclically reduced conjugate of a barcode: free_reduce, then cancel
-    inverse pairs (k, -k) across the two ends, so none is adjacent, even cyclically."""
-    bc = free_reduce(bc)
+def cyclic_reduce(bc, g=None):
+    """The cyclically reduced conjugate of a barcode: free_reduce(bc, g), then
+    cancel inverse pairs (k, -k) across the two ends, so none is adjacent, even
+    cyclically."""
+    bc = free_reduce(bc, g)
     while len(bc) > 1 and bc[0] == -bc[-1]:
         bc = bc[1:-1]
     return bc

@@ -289,10 +289,7 @@ def _mul(xnum, c0, fitting, trunc):
     y's constant term scales x in one copy; each word of x then meets only
     the other words of y that fit in the room the truncation leaves it.
     """
-    if c0 == 1:
-        num = dict(xnum)
-    else:
-        num = {w: c * c0 for w, c in xnum.items()} if c0 else {}
+    num = {w: c * c0 for w, c in xnum.items()} if c0 else {}
     for wx, cx in xnum.items():
         for wy, cy in fitting[trunc - len(wx)]:
             w = wx + wy
@@ -336,27 +333,31 @@ def truncate(x, k):
     return _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if len(w) <= k}, x.den)
 
 
-def _horner(x, coeff, scale):
-    """sum_i coeff(i) y^i / scale, y the part of x of positive degree, by Horner.
+def _horner(num, den, n, coeff, scale):
+    """(H, scale D) with H / (scale D) = sum_i coeff(i) y^i / scale at truncation
+    n, y = num / den without its constant term, by Horner's rule.
 
-    With m the lowest degree of y and n the truncation, y^i vanishes for
-    i > n // m, so the nesting starts there; the level under i factors of y
-    only meets degrees <= n - i m, so it is computed there.  A level h is a
-    polynomial in y, so y h = h y is _mul of h by the one bucketing of y.  With
-    y = Y / D, level i is H_i / (scale D^(top - i)), H_i = H_(i+1) Y +
-    coeff(i) D^(top - i): each constant is one numerator, reduced once at the end.
+    With m the lowest degree of y, y^i vanishes for i > n // m, so the nesting
+    starts there; the level under i factors of y only meets degrees <= n - i m,
+    so it is computed there, as _mul of h by the one bucketing of y.  Level i
+    is H_i / (scale den^(top - i)), H_i = H_(i+1) num + coeff(i) den^(top - i).
     """
-    n, d = x.trunc, x.den
-    _, fitting = _bucket(x.num, n)
+    _, fitting = _bucket(num, n)
     m = next((r for r, f in enumerate(fitting) if f), n + 1)
     top = n // m
     h = {(): coeff(top)}
     p = 1
     for i in range(top - 1, -1, -1):
         h = _mul(h, 0, fitting, n - i * m)
-        p *= d
+        p *= den
         h[()] = coeff(i) * p  # y has no constant term, so neither has y h
-    return _tensor(x.g, n, h, scale * p)
+    return h, scale * p
+
+
+def _log(num, den, n):
+    """_horner of log(1 + y)."""
+    f = lcm(*range(1, n + 1))
+    return _horner(num, den, n, lambda i: (-1) ** (i + 1) * f // i if i else 0, f)
 
 
 def exp_series(x):
@@ -364,15 +365,14 @@ def exp_series(x):
     if () in x.num:
         raise DomainError("exp_series requires a zero constant term")
     f = factorial(x.trunc)
-    return _horner(x, lambda i: f // factorial(i), f)
+    return _tensor(x.g, x.trunc, *_horner(x.num, x.den, x.trunc, lambda i: f // factorial(i), f))
 
 
 def log_series(x):
     """Truncated logarithm of a tensor whose constant term is exactly 1."""
     if x.num.get(()) != x.den:
         raise DomainError("log_series requires constant term exactly 1")
-    f = lcm(*range(1, x.trunc + 1))
-    return _horner(x, lambda i: (-1) ** (i + 1) * f // i if i else 0, f)
+    return _tensor(x.g, x.trunc, *_log(x.num, x.den, x.trunc))
 
 
 def antipode(x):

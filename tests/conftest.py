@@ -7,7 +7,9 @@ import pytest
 sys.dont_write_bytecode = True  # before twistcalc is imported, so no .pyc lands under src/
 
 from twistcalc import default_expansion
+from twistcalc.expansion import SymplecticExpansion
 from twistcalc.surface import commutator_barcode
+from twistcalc.tensor import Tensor, bracket
 
 
 @pytest.fixture(scope="session")
@@ -36,3 +38,20 @@ def assert_canonical(t):
     assert t.den > 0
     assert 0 not in t.num.values()
     assert gcd(t.den, *t.num.values()) == 1
+
+
+def gens(g, trunc):
+    a = [Tensor.generator(g, trunc, i) for i in range(1, g + 1)]
+    b = [Tensor.generator(g, trunc, g + i) for i in range(1, g + 1)]
+    return a, b
+
+
+def custom_expansion(g, trunc=5):
+    """A Lie (not symplectic) expansion whose letter denominators bring 5 and 7 into m."""
+    a, b = gens(g, trunc)
+    log_alpha, log_beta = [], []
+    for i in range(g):
+        ab = bracket(a[i], b[i])
+        log_alpha.append(a[i] + ab.scale("1/7") + bracket(ab, b[i]).scale("2/5"))
+        log_beta.append(b[i] - ab.scale("3/7") + bracket(a[i], ab).scale("1/5"))
+    return SymplecticExpansion(g, trunc, log_alpha, log_beta)

@@ -154,6 +154,31 @@ def test_field_that_is_not_an_ascii_integer_reports_line(tmp_path, field):
         assert err == "parse error: line 2: fields must be signed integers\n"
 
 
+@pytest.mark.parametrize(
+    "sep",
+    ["\u3000", "\xa0", "\x1c", "\x85", "\u2028"],
+    ids=["ideographic-space", "nbsp", "file-separator", "nel", "line-separator"],
+)
+def test_only_ascii_spaces_and_tabs_separate_fields(tmp_path, sep):
+    # str.split() would split at each of these and read the line as 1 1 1 -2 -1 2,
+    # and str.strip() would drop one at either end of a line.
+    text = "1 1 1 -2 -1 2\n1%s1 1 -2 -1 2\n" % sep
+    for bad in (text, "1 1 1 -2 -1 2\n%s1 1 1 -2 -1 2%s\n" % (sep, sep)):
+        with pytest.raises(TwistFileError, match=r"^line 2: fields must be signed integers$"):
+            parse_twist_file(bad, 2)
+    path = tmp_path / "sep.txt"
+    path.write_text(text, encoding="utf-8")
+    for argv in (("casson",), ("tau", "--level", "2")):
+        code, out, err = run_cli(*argv, "--file", str(path))
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err == "parse error: line 2: fields must be signed integers\n"
+
+
+def test_tabs_and_runs_of_spaces_separate_fields():
+    entries = parse_twist_file(" \t1\t1  1 \t-2 -1 2 \t\n\t \n", 2)
+    assert entries == [TwistEntry(1, 1, (1, -2, -1, 2))]
+
+
 @pytest.mark.parametrize("coeff, value", [("+3", 3), ("-03", -3)])
 def test_signs_and_leading_zeros_are_accepted(coeff, value):
     (entry,) = parse_twist_file("%s 1 +1 -02 -1 02\n" % coeff, 2)
@@ -282,6 +307,9 @@ def test_output_is_deterministic(psi_file):
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_cli.json")
 TWO_TWISTS = "-3 2 3 -4 -3 4 1 -2 -1 2\n-1 1 -2 1 2 -1 -4 1 -2 -1 4 1 -2 -1 2 2\n"
+# Genus-3 commutator twists: one on the third handle, one across all three
+# handles, and a conjugate by beta_3 that cyclic reduction strips.
+G3_TWISTS = "2 1 5 -6 -5 6\n-1 2 1 5 -2 -5 -1 2 3 -4 -6 -3 6 4\n1 1 6 1 -2 -1 2 -6\n"
 GOLDEN_COMMANDS = [
     ["verify-psi"],
     ["tau", "--level", "2", "--file", "{psi}"],
@@ -290,16 +318,20 @@ GOLDEN_COMMANDS = [
     ["--genus", "2", "check-expansion"],
     ["--genus", "3", "check-expansion"],
     ["tau", "--level", "3", "--unsafe", "--file", "{two}"],
+    ["--genus", "3", "tau", "--level", "2", "--file", "{g3}"],
+    ["--genus", "3", "tau", "--level", "3", "--unsafe", "--file", "{g3}"],
 ]
 
 
 def golden_runs(tmp):
     """[argv, exit code, stdout] of each golden command; {psi} is the exported
-    psi file and {two} a file of two twists, both written under tmp."""
-    paths = {"psi": os.path.join(tmp, "psi.txt"), "two": os.path.join(tmp, "two.txt")}
+    psi file, {two} a file of two twists and {g3} one of three genus-3 twists,
+    all written under tmp."""
+    paths = {name: os.path.join(tmp, name + ".txt") for name in ("psi", "two", "g3")}
     assert run_cli("export-psi", "--out", paths["psi"])[0] == EXIT_OK
-    with open(paths["two"], "w", encoding="utf-8") as fh:
-        fh.write(TWO_TWISTS)
+    for name, text in (("two", TWO_TWISTS), ("g3", G3_TWISTS)):
+        with open(paths[name], "w", encoding="utf-8") as fh:
+            fh.write(text)
     runs = []
     for argv in GOLDEN_COMMANDS:
         code, out, _ = run_cli(*(a.format(**paths) for a in argv))

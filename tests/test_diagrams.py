@@ -171,7 +171,14 @@ def sum_of_diagram_sums(terms):
 
 
 @pytest.mark.parametrize(
-    "build", [psi_data.expected_tau3, psi_data.expected_tau3_compact, psi_data.identity_rhs]
+    "build",
+    [
+        psi_data.expected_tau3,
+        psi_data.expected_tau3_compact,
+        psi_data.identity_lhs,
+        psi_data.identity_rhs,
+        psi_data.lemma_odot_combination,
+    ],
 )
 def test_psi_sums_match_the_sum_of_diagram_sums(build, monkeypatch):
     seen = []
@@ -184,6 +191,14 @@ def test_psi_sums_match_the_sum_of_diagram_sums(build, monkeypatch):
     got = build()
     (terms,) = seen
     assert got == sum_of_diagram_sums(terms)
+
+
+def test_identity_lhs_and_lemma_odot_combination_match_their_odot_sums():
+    # The sums of DiagramSums these two were written as before tree_sum.
+    lhs = (odot(A1, B1) + tree(A1, B1, A2, B2) + odot(A2, B2)).scale(3)
+    assert psi_data.identity_lhs() == lhs
+    lemma = odot(A1, B1) - odot(A1, B1 + A2) - odot(A1 + A2, B1) + odot(A1 + A2, B1 + A2)
+    assert psi_data.lemma_odot_combination() == lemma
 
 
 def test_morita_tau2_matches_the_sum_of_diagram_sums():

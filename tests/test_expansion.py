@@ -2,7 +2,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import assert_canonical, random_barcode, random_null_homologous_barcode, rng_for
+from conftest import (
+    assert_canonical,
+    custom_expansion,
+    gens,
+    random_barcode,
+    random_null_homologous_barcode,
+    rng_for,
+)
 from twistcalc.expansion import (
     SymplecticExpansion,
     default_expansion,
@@ -10,7 +17,7 @@ from twistcalc.expansion import (
     symplectic_defect,
     theta,
 )
-from twistcalc.surface import barcode_letters, commutator_barcode, free_reduce
+from twistcalc.surface import BarcodeError, barcode_letters, commutator_barcode, free_reduce
 from twistcalc.tensor import (
     DomainError,
     Tensor,
@@ -25,12 +32,6 @@ from twistcalc.tensor import (
 )
 
 GOLDEN = Path(__file__).parent / "golden_defect_g2_N5.txt"
-
-
-def gens(g, trunc):
-    a = [Tensor.generator(g, trunc, i) for i in range(1, g + 1)]
-    b = [Tensor.generator(g, trunc, g + i) for i in range(1, g + 1)]
-    return a, b
 
 
 # -- default expansion log-values -----------------------------------------
@@ -152,22 +153,20 @@ def test_theta_monoid_morphism(exp_g2):
         assert theta(exp_g2, u + v) == product(theta(exp_g2, u), theta(exp_g2, v))
 
 
+@pytest.mark.parametrize("bc", [(1, 0, -1), (1, 5, -5, -1)], ids=["zero", "five"])
+def test_theta_checks_its_letters(exp_g2, bc):
+    # The letter table has no entry 0 or 5 at genus 2; theta raises before it
+    # would look one up, also where the letter cancels.
+    for degree in (1, 5):
+        with pytest.raises(BarcodeError):
+            theta(exp_g2, bc, degree)
+
+
 def test_theta_free_reduce_invariance(exp_g2):
     rng = rng_for("theta-reduce")
     for _ in range(20):
         bc = random_barcode(rng, 2, max_len=8)
         assert theta(exp_g2, bc) == theta(exp_g2, free_reduce(bc))
-
-
-def custom_expansion(g, trunc=5):
-    """A Lie (not symplectic) expansion whose letter denominators bring 5 and 7 into m."""
-    a, b = gens(g, trunc)
-    log_alpha, log_beta = [], []
-    for i in range(g):
-        ab = bracket(a[i], b[i])
-        log_alpha.append(a[i] + ab.scale("1/7") + bracket(ab, b[i]).scale("2/5"))
-        log_beta.append(b[i] - ab.scale("3/7") + bracket(a[i], ab).scale("1/5"))
-    return SymplecticExpansion(g, trunc, log_alpha, log_beta)
 
 
 def theta_test_barcodes(rng, g):

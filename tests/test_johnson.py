@@ -2,9 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import assert_canonical, random_barcode, random_null_homologous_barcode, rng_for
+from conftest import (
+    assert_canonical,
+    custom_expansion,
+    random_barcode,
+    random_null_homologous_barcode,
+    rng_for,
+)
 from twistcalc.diagrams import eta, morita_tau2, odot
-from twistcalc.expansion import default_expansion, log_theta, theta
+from twistcalc.expansion import _theta_parts, default_expansion, theta
 from twistcalc.johnson import (
     L_k,
     TwistEntry,
@@ -12,12 +18,14 @@ from twistcalc.johnson import (
     derivation_bracket,
     twist_sum,
 )
+from twistcalc import expansion, johnson, surface
 from twistcalc.surface import (
     BarcodeError,
     HVector,
     commutator_barcode,
     cyclic_reduce,
     inverse_barcode,
+    validate_barcode,
 )
 from twistcalc.psi_data import load_psi, psi_twist_entries
 from twistcalc.tensor import (
@@ -100,17 +108,40 @@ def test_twist_sum_checks_the_letters_cyclic_reduction_cancels(exp_g2):
         twist_sum(exp_g2, [TwistEntry(1, 1, (5,) + S1 + (-5,))], 4)
 
 
+def test_twist_sum_checks_each_barcode_once(exp_g2, monkeypatch):
+    # A letter outside the genus raises even where cyclic reduction cancels it.
+    with pytest.raises(BarcodeError, match="barcode entry 9 out of range for genus 2"):
+        twist_sum(exp_g2, [TwistEntry(1, 1, (1, 2, -1, -2, 9, -9))], 4)
+    entries = psi_twist_entries()
+    calls = []
+
+    def counting_validate_barcode(bc, g=None):
+        calls.append(bc)
+        return validate_barcode(bc, g)
+
+    for module in (surface, expansion, johnson):
+        monkeypatch.setattr(module, "validate_barcode", counting_validate_barcode, raising=False)
+    twist_sum(exp_g2, entries, 5)
+    assert calls == [e.barcode for e in entries]
+
+
+@pytest.mark.parametrize("bc", [(1, 2, 0, -1, -2), (1, 2, -1, -2, 9, -9)], ids=["zero", "nine"])
+def test_L_k_checks_its_letters(exp_g2, bc):
+    with pytest.raises(BarcodeError):
+        L_k(exp_g2, bc, 4)
+
+
 def test_twist_sum_reads_theta_of_cyclically_reduced_barcodes(exp_g2, monkeypatch):
     # psi's 16 barcodes have 224 letters; their cyclic reductions have 176.
     entries = psi_twist_entries()
     assert sum(len(e.barcode) for e in entries) == 224
     read = []
 
-    def recording_log_theta(exp, bc, degree=None):
+    def recording_theta_parts(exp, bc, n):
         read.append(bc)
-        return log_theta(exp, bc, degree)
+        return _theta_parts(exp, bc, n)
 
-    monkeypatch.setattr("twistcalc.johnson.log_theta", recording_log_theta)
+    monkeypatch.setattr("twistcalc.johnson._theta_parts", recording_theta_parts)
     twist_sum(exp_g2, entries, 5)
     assert read == [cyclic_reduce(e.barcode) for e in entries]
     assert sum(map(len, read)) == 176
@@ -148,10 +179,22 @@ def test_L_k_matches_full_degree_formula(g, count):
             assert got == expected
 
 
-@pytest.mark.parametrize("g, trunc", [(1, 6), (1, 7), (2, 6), (2, 7)])
-def test_L_k_and_twist_sum_match_full_degree_formula_to_degree_7(g, trunc):
+@pytest.mark.parametrize(
+    "make, g, trunc",
+    [
+        pytest.param(make, g, t, id=prefix + "%d-%d" % (g, t))
+        for make, prefix, cases in [
+            (default_expansion, "", [(1, 6), (1, 7), (2, 6), (2, 7), (3, 6)]),
+            (custom_expansion, "custom-", [(1, 7), (2, 7), (3, 6)]),
+        ]
+        for g, t in cases
+    ],
+)
+def test_L_k_and_twist_sum_match_full_degree_formula_to_degree_7(make, g, trunc):
     # Degrees 6 and 7 hold the squares l_3^2 and the pairs l_2 l_5, l_3 l_4.
-    exp = default_expansion(g, trunc)
+    # custom_expansion brings the letter denominators 5 and 7 into m, which the
+    # gcd reductions of theta - 1 over m^(k-2) and of its log must divide out.
+    exp = make(g, trunc)
     rng = rng_for("full-degree-%d-%d" % (g, trunc))
     barcodes = [random_null_homologous_barcode(rng, g) for _ in range(3)]
     refs = {bc: full_degree_L_k(exp, bc) for bc in barcodes}
