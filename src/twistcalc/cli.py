@@ -15,7 +15,7 @@ from .casson import twist_audit
 from .expansion import default_expansion, symplectic_defect
 from .diagrams import eta
 from .johnson import TwistEntry, twist_sum
-from .surface import BarcodeError, barcode_homology, free_reduce
+from .surface import BarcodeError, _free_reduce, barcode_homology
 from .tensor import DomainError, render
 
 EXIT_OK = 0
@@ -53,7 +53,7 @@ def parse_twist_file(text, g):
             )
         if not bounding:
             raise TwistFileError("line %d: barcode is not null-homologous" % lineno)
-        if not free_reduce(entry.barcode):
+        if not _free_reduce(entry.barcode):
             raise TwistFileError(
                 "line %d: barcode is trivial (it freely reduces to the empty word)" % lineno
             )

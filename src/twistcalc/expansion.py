@@ -20,8 +20,8 @@ class SymplecticExpansion:
     g of each, of genus g and truncation trunc; each l satisfies antipode(l) = -l,
     as every Lie series does, so that exp(-l), the inverse letter's value, is
     antipode(exp(l)).  The letter values are built once, scaled by m^|w| and
-    split by degree for each barcode entry; setting an attribute does not
-    rebuild them.
+    split by degree, in one pass over each exp(l) that also writes its
+    antipode; setting an attribute does not rebuild them.
     """
 
     def __init__(self, g, trunc, log_alpha, log_beta):
@@ -31,26 +31,31 @@ class SymplecticExpansion:
         self.log_beta = list(log_beta)
         if len(self.log_alpha) != g or len(self.log_beta) != g:
             raise T.DomainError("expected %d alpha and %d beta log-values" % (g, g))
-        full = {}
+        values = []
         for idx, l in enumerate(self.log_alpha + self.log_beta, start=1):
             what = "log-value of generator %d (%s)" % (idx, T.generator_name(g, idx))
             if (l.g, l.trunc) != (g, trunc):
                 raise T.DomainError(what + " has genus %d and truncation %d" % (l.g, l.trunc))
             if T.antipode(l) != -l:
                 raise T.DomainError(what + " fails antipode(l) = -l, as no Lie series does")
-            full[idx, 1] = T.exp_series(l)
-            full[idx, -1] = T.antipode(full[idx, 1])
+            values.append(T.exp_series(l))
         # Every constant term is exactly 1 and every den divides m, so the
         # scaled values are ints and the constant terms stay 1.
-        self._m = m = lcm(*(t.den for t in full.values()))
+        self._m = m = lcm(*(t.den for t in values))
+        scale = [m**d for d in range(trunc + 1)]
         self._table = {}
-        for k in range(-2 * g, 2 * g + 1):
-            if k:
-                t = full[barcode_letters((k,), g)[0]]
-                self._table[k] = [
-                    [(w, c * m**d // t.den) for w, c in t.num.items() if len(w) == d]
-                    for d in range(trunc + 1)
-                ]
+        for k in range(1, 2 * g + 1):
+            ((idx, _),) = barcode_letters((k,), g)
+            t = values[idx - 1]
+            pos = [[] for _ in scale]
+            neg = [[] for _ in scale]
+            for w, c in t.num.items():
+                d = len(w)
+                c = c * scale[d] // t.den
+                pos[d].append((w, c))
+                neg[d].append((w[::-1], -c if d % 2 else c))
+            self._table[k] = pos
+            self._table[-k] = neg
 
 
 def default_expansion(g, trunc=5):
@@ -73,20 +78,17 @@ def default_expansion(g, trunc=5):
     log_alpha = []
     log_beta = []
     lower = T.Tensor.zero(g, trunc)  # sum_{j<i} [a_j,b_j]
+
+    def lin(*terms):
+        return T.combination(g, trunc, terms)
+
     for i in range(g):
         ab = T.bracket(a[i], b[i])
-        log_alpha.append(
-            a[i]
-            - half * ab
-            + twelfth * T.bracket(ab, b[i])
-            - half * T.bracket(lower, a[i])
-        )
+        abb = T.bracket(ab, b[i])
+        log_alpha.append(lin((1, a[i]), (-half, ab), (twelfth, abb), (-half, T.bracket(lower, a[i]))))
+        aab = T.bracket(a[i], ab)
         log_beta.append(
-            b[i]
-            - half * ab
-            + quarter * T.bracket(ab, b[i])
-            + twelfth * T.bracket(a[i], ab)
-            + half * T.bracket(b[i], lower)
+            lin((1, b[i]), (-half, ab), (quarter, abb), (twelfth, aab), (half, T.bracket(b[i], lower)))
         )
         lower = lower + ab
     return SymplecticExpansion(g, trunc, log_alpha, log_beta)

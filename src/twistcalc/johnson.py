@@ -133,9 +133,12 @@ def _leibniz(d, t, start):
         if len(word) + grow > t.trunc:
             continue
         for pos in range(start, len(word)):
-            for iw, ic in images.get(word[pos], ()):
-                w = word[:pos] + iw + word[pos + 1 :]
-                num[w] = num.get(w, 0) + coeff * ic
+            here = images.get(word[pos])
+            if here:
+                head, tail = word[:pos], word[pos + 1 :]
+                for iw, ic in here:
+                    w = head + iw + tail
+                    num[w] = num.get(w, 0) + coeff * ic
     return num
 
 

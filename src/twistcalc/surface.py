@@ -118,7 +118,11 @@ def boundary_barcode(g):
 def free_reduce(bc, g=None):
     """validate_barcode(bc, g), then cancel adjacent inverse pairs (k, -k)
     until none remain."""
-    bc = validate_barcode(bc, g)
+    return _free_reduce(validate_barcode(bc, g))
+
+
+def _free_reduce(bc):
+    """free_reduce of a barcode already checked."""
     out = []
     for k in bc:
         if out and out[-1] == -k:

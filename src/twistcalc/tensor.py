@@ -340,17 +340,24 @@ def _horner(num, den, n, coeff, scale):
     With m the lowest degree of y, y^i vanishes for i > n // m, so the nesting
     starts there; the level under i factors of y only meets degrees <= n - i m,
     so it is computed there, as _mul of h by the one bucketing of y.  Level i
-    is H_i / (scale den^(top - i)), H_i = H_(i+1) num + coeff(i) den^(top - i).
+    is H_i / (scale den^(top - i)), H_i = H_(i+1) num + coeff(i) den^(top - i);
+    H_top is a constant, so H_(top-1) starts from y's bucket.
     """
     _, fitting = _bucket(num, n)
     m = next((r for r, f in enumerate(fitting) if f), n + 1)
     top = n // m
-    h = {(): coeff(top)}
-    p = 1
-    for i in range(top - 1, -1, -1):
-        h = _mul(h, 0, fitting, n - i * m)
-        p *= den
+    h, p = {}, 1
+    if top:
+        c = coeff(top)
+        h = {w: c * v for w, v in fitting[n - (top - 1) * m]}
+        p = den
+    for i in range(top - 1, 0, -1):
         h[()] = coeff(i) * p  # y has no constant term, so neither has y h
+        h = _mul(h, 0, fitting, n - (i - 1) * m)
+        p *= den
+    c = coeff(0)
+    if c:
+        h[()] = c * p
     return h, scale * p
 
 
@@ -454,16 +461,17 @@ def render(x):
     """
     if not x.num:
         return "0"
-    parts = []
+    names = [""] + [generator_name(x.g, i) for i in range(1, 2 * x.g + 1)]
+    words = sorted(x.num)
+    words.sort(key=len)
     den = x.den
-    for word in sorted(x.num, key=lambda w: (len(w), w)):
+    parts = []
+    for word in words:
         coeff = x.num[word]
         d = gcd(coeff, den)
-        mag = "%d/%d" % (abs(coeff) // d, den // d)
-        body = "*".join(generator_name(x.g, i) for i in word)
-        term = mag + (" " + body if body else "")
-        if not parts:
-            parts.append(term if coeff > 0 else "- " + term)
-        else:
-            parts.append(("+ " if coeff > 0 else "- ") + term)
-    return " ".join(parts)
+        term = "%s %d/%d" % ("-" if coeff < 0 else "+", abs(coeff) // d, den // d)
+        if word:
+            term += " " + "*".join(map(names.__getitem__, word))
+        parts.append(term)
+    out = " ".join(parts)
+    return out[2:] if out[0] == "+" else out

@@ -15,10 +15,11 @@ from twistcalc.cli import (
     main,
     parse_twist_file,
 )
-from twistcalc import psi_data
+from twistcalc import psi_data, surface
 from twistcalc.diagrams import eta
 from twistcalc.johnson import TwistEntry
 from twistcalc.psi_data import expected_tau3, psi_twist_entries
+from twistcalc.surface import validate_barcode
 from twistcalc.tensor import extract, render
 
 
@@ -63,6 +64,41 @@ def test_parse_skips_comments_and_blanks():
 def test_parse_rejects_bad_records(line):
     with pytest.raises(TwistFileError, match=r"^line 1: "):
         parse_twist_file(line, 2)
+
+
+# Records with more than one fault report the first of: exponent, twist
+# genus, barcode entries, genus above the surface's, homology, triviality.
+FIRST_FAULTS = [
+    ("0 3 1 -2", 2, "twist exponent must be nonzero"),
+    ("1 3 0 9", 2, "twist genus must be 1 or 2"),
+    ("1 1 0 9", 2, "barcode entries must be nonzero"),
+    ("1 2 9 -9", 1, "barcode entry 9 out of range for genus 1"),
+    ("1 2 1 -1 3", 1, "barcode entry 3 out of range for genus 1"),
+    ("1 2 1 -2", 1, "twist genus 2 exceeds surface genus 1"),
+    ("1 1 1 -1 2", 2, "barcode is not null-homologous"),
+    ("1 1 1 2 -2 -1", 2, "barcode is trivial (it freely reduces to the empty word)"),
+    ("1 1", 2, "barcode is trivial (it freely reduces to the empty word)"),
+]
+
+
+@pytest.mark.parametrize("line, g, message", FIRST_FAULTS)
+def test_parse_reports_the_first_fault_of_a_record(line, g, message):
+    with pytest.raises(TwistFileError) as info:
+        parse_twist_file("# head\n\n" + line + "\n", g)
+    assert str(info.value) == "line 3: " + message
+
+
+def test_parse_checks_each_barcode_once(monkeypatch):
+    text = format_twist_file(psi_twist_entries())
+    calls = []
+
+    def counting_validate_barcode(bc, g=None):
+        calls.append(bc)
+        return validate_barcode(bc, g)
+
+    monkeypatch.setattr(surface, "validate_barcode", counting_validate_barcode)
+    entries = parse_twist_file(text, 2)
+    assert calls == [e.barcode for e in entries]
 
 
 # -- commands ---------------------------------------------------------------

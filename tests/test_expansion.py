@@ -1,3 +1,5 @@
+from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -114,6 +116,52 @@ def test_antipode_of_exp_is_exp_of_negative_on_lie_series():
             l = l + x.scale(rng.choice(["1/2", -1, 3, "-2/3"]))
         assert antipode(l) == -l
         assert antipode(exp_series(l)) == exp_series(-l)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_log_values_match_the_pinned_formulas(g):
+    trunc = 5
+    exp = default_expansion(g, trunc)
+    a, b = gens(g, trunc)
+    half, twelfth, quarter = Fraction(1, 2), Fraction(1, 12), Fraction(1, 4)
+    lower = Tensor.zero(g, trunc)
+    for i in range(g):
+        ab = bracket(a[i], b[i])
+        alpha = a[i] - half * ab + twelfth * bracket(ab, b[i]) - half * bracket(lower, a[i])
+        beta = (
+            b[i]
+            - half * ab
+            + quarter * bracket(ab, b[i])
+            + twelfth * bracket(a[i], ab)
+            + half * bracket(b[i], lower)
+        )
+        assert (exp.log_alpha[i], exp.log_beta[i]) == (alpha, beta)
+        lower = lower + ab
+
+
+@pytest.mark.parametrize("make", [default_expansion, custom_expansion])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_letter_table_matches_per_letter_values(make, g):
+    # Each letter's value is exp_series of its log-value and each inverse
+    # letter's the antipode of that, as tensors; the table holds them scaled
+    # by m^|w| and split by degree, in the order of the value's terms.
+    trunc = 5
+    exp = make(g, trunc)
+    full = {}
+    for idx, l in enumerate(exp.log_alpha + exp.log_beta, start=1):
+        full[idx, 1] = exp_series(l)
+        full[idx, -1] = antipode(full[idx, 1])
+    m = lcm(*(t.den for t in full.values()))
+    assert exp._m == m
+    assert sorted(exp._table) == [k for k in range(-2 * g, 2 * g + 1) if k]
+    for k in exp._table:
+        (key,) = barcode_letters((k,), g)
+        t = full[key]
+        want = [
+            [(w, c * m**d // t.den) for w, c in t.num.items() if len(w) == d]
+            for d in range(trunc + 1)
+        ]
+        assert exp._table[k] == want
 
 
 def test_expansion_rejects_bad_arguments():

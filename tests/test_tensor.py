@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from itertools import product as word_product
-from math import factorial
+from math import factorial, gcd
 
 import pytest
 
@@ -11,6 +11,7 @@ from twistcalc.tensor import (
     DegreeMismatchError,
     DomainError,
     Tensor,
+    _log,
     antipode,
     bracket,
     combination,
@@ -18,6 +19,7 @@ from twistcalc.tensor import (
     dynkin_defect,
     exp_series,
     extract,
+    generator_name,
     log_series,
     product,
     render,
@@ -462,6 +464,32 @@ def test_series_match_fraction_reference_above_degree_one(low, g, trunc):
             assert dict(got.terms) == ref_clean(want, trunc)
 
 
+@pytest.mark.parametrize("top", [0, 1, 2])
+def test_series_match_fraction_reference_at_each_nesting_depth(top):
+    # Horner's rule runs top = n // m levels, m the lowest degree of x (n + 1
+    # for x = 0): none, only the one read from x's bucket, and one more.
+    rng = rng_for("series-depth-%d" % top)
+    g = 2
+    for n in range(1, N + 1):
+        for m in range(1, n + 2):
+            if n // m != top:
+                continue
+            xd = {w: c for w, c in random_terms(rng, g, n).items() if len(w) >= m}
+            if m <= n:
+                xd[tuple(rng.randint(1, 2 * g) for _ in range(m))] = Fraction(rng.choice([-2, 1, 3]))
+            x = Tensor(g, n, xd)
+            exp_ref = ref_series(xd, n, lambda i: Fraction(1, factorial(i)))
+            log_ref = ref_series(xd, n, lambda i: Fraction((-1) ** (i + 1), i))
+            for got, want in (
+                (exp_series(x), ref_lin({(): 1}, exp_ref, 1)),
+                (log_series(Tensor.one(g, n) + x), log_ref),
+            ):
+                assert_canonical(got)
+                assert dict(got.terms) == ref_clean(want, n)
+            raw, _ = _log(x.num, x.den, n)
+            assert 0 not in raw.values()
+
+
 def test_dynkin_defect_matches_fraction_reference_on_dense_parts():
     # Every word of degree <= 4 at genus 2, so the words share their prefixes
     # and the brackets of different words merge; the second tensor is a Lie
@@ -543,3 +571,38 @@ def test_render_sorted_and_signed():
 def test_render_uses_generator_names():
     x = words({(A1, A2, B1, B2): 1})
     assert render(x) == "1/1 a1*a2*b1*b2"
+
+
+def render_reference(x):
+    """render as written before it read a name table: one key lambda for the
+    sort and one generator_name call per letter."""
+    if not x.num:
+        return "0"
+    parts = []
+    den = x.den
+    for word in sorted(x.num, key=lambda w: (len(w), w)):
+        coeff = x.num[word]
+        d = gcd(coeff, den)
+        mag = "%d/%d" % (abs(coeff) // d, den // d)
+        body = "*".join(generator_name(x.g, i) for i in word)
+        term = mag + (" " + body if body else "")
+        if not parts:
+            parts.append(term if coeff > 0 else "- " + term)
+        else:
+            parts.append(("+ " if coeff > 0 else "- ") + term)
+    return " ".join(parts)
+
+
+@pytest.mark.parametrize("g", [1, 2, 5, 10])
+def test_render_matches_reference(g):
+    # Indices reach two digits at g = 5 and names (a10, b10) at g = 10; words
+    # sort by their indices, not by their names.
+    rng = rng_for("render-%d" % g)
+    for _ in range(40):
+        terms = {}
+        for _ in range(rng.randint(0, 30)):
+            w = tuple(rng.randint(1, 2 * g) for _ in range(rng.randint(0, N)))
+            terms[w] = Fraction(rng.randint(-30, 30), rng.choice([1, 2, 3, 7, 12]))
+        x = Tensor(g, N, terms)
+        assert render(x) == render_reference(x)
+        assert render(-x) == render_reference(-x)
