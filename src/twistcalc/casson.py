@@ -29,8 +29,8 @@ class CassonReport(T.Value):
 
     def render(self):
         lines = [
-            "d %d" % self.d_value,
-            "d_prime %d" % self.d_prime_value,
+            "d %s" % self.d_value,
+            "d_prime %s" % self.d_prime_value,
             "n_genus1 %s" % self.n_genus1,
             "n_genus2 %s" % self.n_genus2,
         ]

@@ -16,7 +16,7 @@ from .expansion import default_expansion, symplectic_defect
 from .diagrams import eta
 from .johnson import TwistEntry, twist_sum
 from .surface import BarcodeError, _free_reduce, barcode_homology
-from .tensor import DomainError, render
+from .tensor import DomainError, Tensor, render
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -118,48 +118,28 @@ def cmd_export_psi(args):
     return EXIT_OK
 
 
-def verify_psi_checks():
-    """Run the full reproduction; yields (name, passed, detail) triples."""
-    exp = default_expansion(2)
-    entries = P.psi_twist_entries()
-
-    t2, t3 = twist_sum(exp, entries, 5)
-    yield "tau2_psi_vanishes", t2.is_zero(), render(t2)
-
-    full = eta(P.expected_tau3())
-    yield "tau3_matches_tree_sum", t3 == full, render(t3 - full)
-    compact = eta(P.expected_tau3_compact())
-    yield "tau3_matches_compact_form", t3 == compact, render(t3 - compact)
-
-    eq4 = P.bracket_decomposition_value()
-    yield "bracket_decomposition", eq4 == t3, render(eq4 - t3)
-
-    lhs = eta(P.identity_lhs())
-    rhs = eta(P.identity_rhs())
-    yield "three_tau2_odot_identity", lhs == rhs, render(lhs - rhs)
-
-    lt = eta(P.lemma_tree())
-    lo = eta(P.lemma_odot_combination())
-    yield "lemma_odot_decomposition", lt == lo, render(lt - lo)
-
-    report = twist_audit(entries, t2)
-    casson_ok = (
-        report.d_value == -24
-        and report.d_prime_value == 0
-        and report.lambda_value == 1
-        and report.n_genus1 == 10
-        and report.n_genus2 == -3
-    )
-    yield "casson_numbers", casson_ok, report.render()
-
-
 def cmd_verify_psi(args):
+    """Run the full reproduction: one PASS/FAIL line per (name, computed, expected) row."""
+    exp = default_expansion(P.GENUS)
+    entries = P.psi_twist_entries()
+    t2, t3 = twist_sum(exp, entries, exp.trunc)
+    report = twist_audit(entries, t2)
+    rows = (
+        ("tau2_psi_vanishes", t2, Tensor.zero(P.GENUS, exp.trunc)),
+        ("tau3_matches_tree_sum", t3, eta(P.expected_tau3())),
+        ("tau3_matches_compact_form", t3, eta(P.expected_tau3_compact())),
+        ("bracket_decomposition", P.bracket_decomposition_value(), t3),
+        ("three_tau2_odot_identity", eta(P.identity_lhs()), eta(P.identity_rhs())),
+        ("lemma_odot_decomposition", eta(P.lemma_tree()), eta(P.lemma_odot_combination())),
+        ("casson_numbers", report, P.EXPECTED_CASSON),
+    )
     all_ok = True
-    for name, ok, detail in verify_psi_checks():
+    for name, x, y in rows:
+        ok = x == y
         print("%-28s %s" % (name, "PASS" if ok else "FAIL"))
         if not ok:
             all_ok = False
-            print("  difference: %s" % detail)
+            print("  difference: %s" % (x.render() if x is report else render(x - y)))
     return EXIT_OK if all_ok else EXIT_MISMATCH
 
 

@@ -9,6 +9,7 @@ the commutators u v u^-1 v^-1, and its genus as the number of pairs.
 
 from fractions import Fraction
 
+from .casson import CassonReport
 from .diagrams import eta, tree, tree_sum
 from .johnson import TwistEntry, derivation_bracket
 from .surface import HVector, barcode_homology, commutator_barcode, omega
@@ -74,9 +75,9 @@ _PSI = (
 )
 
 
-# The simpler alternative barcode for the t7 curve (same free-group element
-# up to conjugation, so the same L_k values).
-T7_ALTERNATIVE_BARCODE = (-3, 4, 1, -2, -1, -1, 4, 1, 1, 2, -1, -4, 3, -4)
+# The Casson-core report of psi: d = -24, d' = 0, the signed genus-1 and
+# genus-2 twist counts 10 and -3, and (as tau_2(psi) = 0) lambda = 1.
+EXPECTED_CASSON = CassonReport(-24, 0, 10, -3, 1)
 
 
 A1, A2, B1, B2 = (HVector.basis(GENUS, i) for i in range(1, 2 * GENUS + 1))

@@ -90,10 +90,10 @@ class Tensor(Value):
     the same map with Fraction coefficients.
 
     The constructor is the checked entry point for outside input: it checks
-    every generator index, converts the coefficients to Fractions and drops
-    zero coefficients and overlong words, so callers pass raw accumulated
-    sums.  The operations of the package build their results through the
-    trusted ``_tensor`` instead.
+    that every generator index is an int in 1..2g, converts the coefficients
+    to Fractions and drops zero coefficients and overlong words, so callers
+    pass raw accumulated sums.  The operations of the package build their
+    results through the trusted ``_tensor`` instead.
     """
 
     __slots__ = ("g", "trunc", "num", "den")
@@ -107,6 +107,8 @@ class Tensor(Value):
         if terms:
             for word, coeff in terms.items():
                 for idx in word:
+                    if type(idx) is not int:
+                        raise DomainError("generator index %r is not an int" % (idx,))
                     if not 1 <= idx <= 2 * g:
                         raise DomainError("generator index %r out of range" % (idx,))
                 c = Fraction(coeff)

@@ -162,3 +162,10 @@ def test_audit_omits_lambda_without_certificate(exp_g2):
 def test_report_render():
     report = twist_audit(psi_twist_entries())
     assert report.render() == "d -24\nd_prime 0\nn_genus1 10\nn_genus2 -3"
+
+
+def test_report_render_prints_rational_d_and_d_prime_exactly():
+    half_genus1 = twist_audit([TwistEntry(Fraction(1, 2), 1, (1, -2, -1, 2))])
+    assert half_genus1.render() == "d 0\nd_prime 3/2\nn_genus1 1/2\nn_genus2 0"
+    third_genus2 = twist_audit([TwistEntry(Fraction(-1, 3), 2, GAMMA2)])
+    assert third_genus2.render() == "d -8/3\nd_prime -10/3\nn_genus1 0\nn_genus2 -1/3"

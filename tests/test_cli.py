@@ -16,6 +16,7 @@ from twistcalc.cli import (
     parse_twist_file,
 )
 from twistcalc import psi_data, surface
+from twistcalc.casson import CassonReport
 from twistcalc.diagrams import eta
 from twistcalc.johnson import TwistEntry
 from twistcalc.psi_data import expected_tau3, psi_twist_entries
@@ -332,6 +333,51 @@ def test_verify_psi_corrupted_fails_on_tau2(monkeypatch):
     assert code == EXIT_MISMATCH
     assert "tau2_psi_vanishes            FAIL" in out
     assert "  difference: " in out
+
+
+VERIFY_PSI_ROWS = (
+    "tau2_psi_vanishes",
+    "tau3_matches_tree_sum",
+    "tau3_matches_compact_form",
+    "bracket_decomposition",
+    "three_tau2_odot_identity",
+    "lemma_odot_decomposition",
+    "casson_numbers",
+)
+
+
+def _doubled(expected):
+    return lambda: expected().scale(2)
+
+
+def _lambda_two(report):
+    return CassonReport(report.d_value, report.d_prime_value, report.n_genus1, report.n_genus2, 2)
+
+
+@pytest.mark.parametrize(
+    "attr, make_wrong, row",
+    [
+        ("expected_tau3", _doubled, "tau3_matches_tree_sum"),
+        ("expected_tau3_compact", _doubled, "tau3_matches_compact_form"),
+        ("bracket_decomposition_value", _doubled, "bracket_decomposition"),
+        ("identity_rhs", _doubled, "three_tau2_odot_identity"),
+        ("lemma_odot_combination", _doubled, "lemma_odot_decomposition"),
+        ("EXPECTED_CASSON", _lambda_two, "casson_numbers"),
+    ],
+)
+def test_verify_psi_fails_on_exactly_the_row_with_a_wrong_expected_side(
+    monkeypatch, attr, make_wrong, row
+):
+    monkeypatch.setattr(psi_data, attr, make_wrong(getattr(psi_data, attr)))
+    code, out, _ = run_cli("verify-psi")
+    assert code == EXIT_MISMATCH
+    lines = out.splitlines()
+    status = [line for line in lines if line.endswith((" PASS", " FAIL"))]
+    assert status == [
+        "%-28s %s" % (name, "FAIL" if name == row else "PASS") for name in VERIFY_PSI_ROWS
+    ]
+    assert lines[lines.index("%-28s FAIL" % row) + 1].startswith("  difference: ")
+    assert sum(line.startswith("  difference: ") for line in lines) == 1
 
 
 def test_output_is_deterministic(psi_file):

@@ -97,6 +97,9 @@ def test_constructor_checks_the_indices_of_every_word():
     for terms in ({(9, 9): 1}, {(9,): 1}, {(0,): 0}):
         with pytest.raises(DomainError, match="^generator index [09] out of range$"):
             Tensor(G, 1, terms)
+    for terms in ({(1.0,): 1}, {(True, 2): 1}, {"ab": 1}):
+        with pytest.raises(DomainError, match="^generator index .+ is not an int$"):
+            Tensor(G, 1, terms)
 
 
 # -- product -------------------------------------------------------------
