@@ -94,9 +94,10 @@ def default_expansion(g, trunc=5):
     return SymplecticExpansion(g, trunc, log_alpha, log_beta)
 
 
-def _theta_parts(exp, bc, n):
-    """theta of a checked barcode at truncation n: parts[d] maps its degree-d
-    words to ints scaled by m^d.  Each letter value y multiplies in place, top
+def _theta(exp, bc, n):
+    """theta of a checked barcode at truncation n, as (num, den): int
+    numerators, zeros dropped, over den = m^n.  The words of degree d are
+    kept scaled by m^d while each letter value y multiplies in place, top
     degree first: parts[d] += y_d + sum_{0<p<d} parts[p] y_(d-p)."""
     parts = [{(): 1}] + [{} for _ in range(n)]
     for k in bc:
@@ -111,7 +112,8 @@ def _theta_parts(exp, bc, n):
                     for v, b in q:
                         w = u + v
                         acc[w] = acc.get(w, 0) + a * b
-    return parts
+    s = [exp._m ** (n - d) for d in range(n + 1)]
+    return {w: c * s[d] for d, part in enumerate(parts) for w, c in part.items() if c}, s[0]
 
 
 def theta(exp, bc, degree=None):
@@ -123,17 +125,12 @@ def theta(exp, bc, degree=None):
     degree = exp.trunc if degree is None else degree
     if not 1 <= degree <= exp.trunc:
         raise T.DomainError("evaluation degree must be in 1..truncation degree")
-    num = {}
-    for d, part in enumerate(_theta_parts(exp, validate_barcode(bc, exp.g), degree)):
-        s = exp._m ** (degree - d)
-        for w, c in part.items():
-            num[w] = c * s
-    return T._tensor(exp.g, degree, num, exp._m**degree)
+    return T._tensor(exp.g, degree, *_theta(exp, validate_barcode(bc, exp.g), degree))
 
 
-def log_theta(exp, bc, degree=None):
-    """log of theta at truncation ``degree`` (default exp.trunc); zero constant term."""
-    return T.log_series(theta(exp, bc, degree))
+def log_theta(exp, bc):
+    """log of theta at the full truncation degree; zero constant term."""
+    return T.log_series(theta(exp, bc))
 
 
 def symplectic_defect(exp):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from . import tensor as T
-from .expansion import _theta_parts
+from .expansion import _theta
 from .surface import cyclic_reduce, validate_barcode
 
 
@@ -34,31 +34,29 @@ class TwistEntry(T.Value):
         object.__setattr__(self, "barcode", tuple(barcode))
 
 
-def _fold(exp, twists, low, k):
-    """[sum c L_j for j = low..k] over (c, checked barcode) pairs, as in L_k:
-    l = log(1 + y), y = theta - 1, on ints reduced by one gcd each, bucketed by
-    degree; each degree is summed in int dicts over one den.
+def _fold(exp, twists, k):
+    """[sum c L_j for j = 4..k] over (c, checked barcode) pairs, as in L_k:
+    l = log theta on ints, reduced by one gcd and bucketed by degree; each
+    degree is summed in int dicts over one den.  As l_1 = theta_1, the barcode
+    is null-homologous exactly when l has no degree-1 word.
     """
     if not 4 <= k <= exp.trunc:
         raise T.DomainError("L_k needs 4 <= k <= truncation degree")
-    n, m = k - 2, exp._m
+    n = k - 2
     logs = []
     for c, bc in twists:
-        th = _theta_parts(exp, bc, n)
-        if any(th[1].values()):
-            raise T.DomainError("barcode is not null-homologous")
-        y = {w: v * m ** (n - d) for d in range(2, n + 1) for w, v in th[d].items() if v}
-        q = gcd(m**n, *y.values())
-        l, den = T._log({w: v // q for w, v in y.items()}, m**n // q, n)
+        l, den = T._log(*_theta(exp, bc, n), n)
         q = gcd(den, *l.values())
         parts = [[] for _ in range(n + 1)]
         for w, v in l.items():
             if v:
                 parts[len(w)].append((w, v // q))
+        if parts[1]:
+            raise T.DomainError("barcode is not null-homologous")
         logs.append((c, c.denominator * (den // q) ** 2, parts))
     den = lcm(*(d for _, d, _ in logs))
     sums = []
-    for j in range(low, k + 1):
+    for j in range(4, k + 1):
         cross, square = {}, {}
         for c, d, parts in logs:
             f = c.numerator * (den // d)
@@ -90,7 +88,7 @@ def L_k(exp, bc, k):
     symmetric square needs no 1/2: with rot^r moving r first letters last,
     L_k = N(sum_{2 <= i < k-i} l_i l_{k-i}) + [k even] sum_{r<k/2} rot^r(l_{k/2}^2).
     """
-    return _fold(exp, ((1, validate_barcode(bc, exp.g)),), k, k)[0]
+    return _fold(exp, ((1, validate_barcode(bc, exp.g)),), k)[-1]
 
 
 def twist_sum(exp, twists, k):
@@ -102,7 +100,7 @@ def twist_sum(exp, twists, k):
     product; the second, sum c L_5, is its tau_3 only when the first vanishes.
     """
     twists = [(e.coeff, cyclic_reduce(e.barcode, exp.g)) for e in twists]
-    return _fold(exp, twists, 4, k)
+    return _fold(exp, twists, k)
 
 
 # -- derivations -------------------------------------------------------

@@ -1,6 +1,6 @@
 """Genus-g surface data: the symplectic form, and barcodes for words in pi_1.
 
-A barcode is a sequence of nonzero integers k with |k| <= 2g; the entry
+A barcode is a sequence of nonzero ints k with |k| <= 2g; the entry
 +-(2i-1) stands for alpha_i^{+-1} and +-2i for beta_i^{+-1}.
 """
 
@@ -8,7 +8,7 @@ from .tensor import DomainError, Value
 
 
 class BarcodeError(ValueError):
-    """Raised for barcode entries outside the allowed range."""
+    """Raised for barcode entries that are not nonzero ints in range."""
 
 
 class HVector(Value):
@@ -69,8 +69,10 @@ def omega(u, v):
 
 
 def validate_barcode(bc, g=None):
-    """Check entries are nonzero and, if g is given, within [-2g, 2g]."""
+    """Check entries are nonzero ints and, if g is given, within [-2g, 2g]."""
     for k in bc:
+        if type(k) is not int:
+            raise BarcodeError("barcode entry %r is not an int" % (k,))
         if k == 0:
             raise BarcodeError("barcode entries must be nonzero")
         if g is not None and abs(k) > 2 * g:

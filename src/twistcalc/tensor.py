@@ -4,7 +4,7 @@ Generators are indexed 1..2g: index i <= g is a_i, index g+i is b_i.
 Words are tuples of generator indices.  A Tensor is a finitely supported
 map from words no longer than ``trunc`` to rationals, stored as Python int
 numerators over one positive common denominator, so that the arithmetic
-runs on integers; ``terms`` is the rational view of the same values.
+runs on integers; ``terms`` copies the same values out as Fractions.
 
 The full-degree series are nested evaluations: ``exp_series`` and
 ``log_series`` run Horner's rule with each level at the truncation its outer
@@ -13,7 +13,6 @@ factors leave it, and ``dynkin_defect`` left-nests brackets by block transposes.
 ``Value`` is the immutable base of the package's value types, Tensor among them.
 """
 
-from collections.abc import Mapping
 from fractions import Fraction
 from itertools import accumulate, compress
 from math import factorial, gcd, lcm
@@ -86,7 +85,7 @@ class Tensor(Value):
     Immutable.  ``num`` maps words (tuples of generator indices in 1..2g) to
     int numerators over the common denominator ``den``, in canonical form:
     ``den > 0``, no zero numerator and ``gcd(den, *num.values()) == 1``, so
-    equal tensors store equal values.  ``terms`` is the read-only view of
+    equal tensors store equal values.  ``terms`` is a new dict of
     the same map with Fraction coefficients.
 
     The constructor is the checked entry point for outside input: it checks
@@ -120,8 +119,8 @@ class Tensor(Value):
 
     @property
     def terms(self):
-        """Read-only map from words to their nonzero Fraction coefficients."""
-        return _Terms(self.num, self.den)
+        """A new dict from words to their nonzero Fraction coefficients."""
+        return {w: Fraction(c, self.den) for w, c in self.num.items()}
 
     # -- constructors -------------------------------------------------
 
@@ -210,28 +209,6 @@ def _tensor(g, trunc, num, den=1):
     is checked, and ``num`` may be kept, so the caller must not change it.
     """
     return _store(object.__new__(Tensor), g, trunc, num, den)
-
-
-class _Terms(Mapping):
-    """The rational view of num/den: each coefficient made a Fraction when read."""
-
-    __slots__ = ("_num", "_den")
-
-    def __init__(self, num, den):
-        self._num = num
-        self._den = den
-
-    def __getitem__(self, word):
-        return Fraction(self._num[word], self._den)
-
-    def __iter__(self):
-        return iter(self._num)
-
-    def __len__(self):
-        return len(self._num)
-
-    def __repr__(self):
-        return repr(dict(self.items()))
 
 
 def _check_compatible(g, trunc, t):

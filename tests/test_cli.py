@@ -333,6 +333,11 @@ def test_verify_psi_corrupted_fails_on_tau2(monkeypatch):
     assert code == EXIT_MISMATCH
     assert "tau2_psi_vanishes            FAIL" in out
     assert "  difference: " in out
+    # With tau_2 != 0 the L_5 sum is no tau_3, so no tau_3 row may pass.
+    lines = out.splitlines()
+    for row in ("tau3_matches_tree_sum", "tau3_matches_compact_form", "bracket_decomposition"):
+        at = lines.index("%-28s FAIL" % row)
+        assert lines[at + 1] == "  difference: J_3 certificate failed (tau_2 != 0)"
 
 
 VERIFY_PSI_ROWS = (

@@ -10,7 +10,7 @@ from conftest import (
     rng_for,
 )
 from twistcalc.diagrams import eta, morita_tau2, odot
-from twistcalc.expansion import _theta_parts, default_expansion, theta
+from twistcalc.expansion import _theta, default_expansion, theta
 from twistcalc.johnson import (
     L_k,
     TwistEntry,
@@ -137,11 +137,11 @@ def test_twist_sum_reads_theta_of_cyclically_reduced_barcodes(exp_g2, monkeypatc
     assert sum(len(e.barcode) for e in entries) == 224
     read = []
 
-    def recording_theta_parts(exp, bc, n):
+    def recording_theta(exp, bc, n):
         read.append(bc)
-        return _theta_parts(exp, bc, n)
+        return _theta(exp, bc, n)
 
-    monkeypatch.setattr("twistcalc.johnson._theta_parts", recording_theta_parts)
+    monkeypatch.setattr("twistcalc.johnson._theta", recording_theta)
     twist_sum(exp_g2, entries, 5)
     assert read == [cyclic_reduce(e.barcode) for e in entries]
     assert sum(map(len, read)) == 176
@@ -219,6 +219,19 @@ def test_L_k_and_twist_sum_match_full_degree_formula_to_degree_7(make, g, trunc)
 def test_L_k_rejects_non_null_homologous(exp_g2):
     with pytest.raises(DomainError):
         L_k(exp_g2, (1,), 4)
+
+
+@pytest.mark.parametrize("k", [4, 5])
+@pytest.mark.parametrize("bc", [(1,), (1, 2, -1)])
+def test_L_k_and_twist_sum_reject_non_null_homologous(exp_g2, bc, k):
+    # The fold reads the check from log theta's degree-1 part, which is theta's;
+    # in a twist list, a bad last entry raises after good ones.
+    message = "barcode is not null-homologous"
+    with pytest.raises(DomainError, match=message):
+        L_k(exp_g2, bc, k)
+    for twists in ([TwistEntry(1, 1, bc)], psi_twist_entries() + [TwistEntry(1, 1, bc)]):
+        with pytest.raises(DomainError, match=message):
+            twist_sum(exp_g2, twists, k)
 
 
 def test_L_k_rejects_bad_degree(exp_g2):

@@ -1,6 +1,10 @@
+import re
+
 import pytest
 
 from conftest import random_barcode, rng_for
+from twistcalc.expansion import theta
+from twistcalc.johnson import L_k
 from twistcalc.surface import (
     BarcodeError,
     HVector,
@@ -84,6 +88,23 @@ def test_barcode_rejects_zero_entry():
 def test_barcode_rejects_out_of_range():
     with pytest.raises(BarcodeError):
         barcode_letters([5], 2)
+
+
+@pytest.mark.parametrize(
+    "call, entry",
+    [
+        (lambda exp: barcode_homology((1.0, 2, -1, -2), 2), 1.0),
+        (lambda exp: L_k(exp, (1.5, 2, -1.5, -2), 4), 1.5),
+        (lambda exp: theta(exp, (1.0,)), 1.0),
+        (lambda exp: L_k(exp, (True, 2, -1, -2), 4), True),
+        (lambda exp: free_reduce(("a",)), "a"),
+    ],
+    ids=["homology-float", "L_k-float", "theta-float", "L_k-bool", "free_reduce-str"],
+)
+def test_barcode_rejects_entries_that_are_not_ints(exp_g2, call, entry):
+    message = "barcode entry %r is not an int" % (entry,)
+    with pytest.raises(BarcodeError, match=re.escape(message)):
+        call(exp_g2)
 
 
 def test_commutator_barcode():

@@ -84,6 +84,19 @@ def test_fields_cannot_be_set_or_deleted():
     assert x == words({(A1,): 1}, G, 3)
 
 
+def test_terms_is_a_new_dict_of_fractions():
+    coeffs = {(1,): Fraction(1, 2), (2, 3): Fraction(-2, 3)}
+    t = words(coeffs)
+    terms = t.terms
+    assert type(terms) is dict
+    assert terms == {w: Fraction(c, t.den) for w, c in t.num.items()} == coeffs
+    terms[(1,)] = 5
+    terms[(4,)] = 1
+    del terms[(2, 3)]
+    assert t == words(coeffs)
+    assert t.terms == coeffs
+
+
 def test_equality_compares_genus_and_truncation():
     x = words({(A1,): 1})
     assert x == words({(A1,): Fraction(2, 2)})
