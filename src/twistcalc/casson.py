@@ -1,18 +1,14 @@
-"""Casson-core homomorphisms on twist lists and degree-2 diagram sums.
+"""Casson-core homomorphisms on twist lists.
 
 d takes the value 4h(h-1) on a genus-h BSCC twist and d' the value
-h(2h+1); d' factors through tau_2 via the linear map dbar_prime.  A
-degree-2 diagram sum holds trees only (u (.) v is (1/2) T(u,v,u,v)), so
-dbar_prime reads tree labels and this module imports nothing from
-diagrams.  On a J_3-certified list (tau_2 = 0) the Casson invariant is
--d/24; lambda_J3 and twist_audit take the tau_2 their caller computed
-(johnson.twist_sum).
+h(2h+1); both read only the twists' exponents and declared genera.  On a
+J_3-certified list (tau_2 = 0) the Casson invariant is -d/24; lambda_J3 and
+twist_audit take the tau_2 their caller computed (johnson.twist_sum).
 """
 
 from fractions import Fraction
 
 from . import tensor as T
-from .surface import omega
 
 
 class CassonReport(T.Value):
@@ -47,25 +43,6 @@ def d_core(twists):
 def d_prime(twists):
     """Signed sum of h(2h+1) over the twist list."""
     return sum(e.coeff * e.genus * (2 * e.genus + 1) for e in twists)
-
-
-def dbar_prime(d2):
-    """The factored map on degree-2 diagram sums.
-
-    dbar'(T(a,b,c,d)) = 4 w(a,b) w(c,d) - 2 w(a,d) w(b,c) + 2 w(a,c) w(b,d),
-    so dbar'(a (.) b) = (1/2)(4 w(a,b)^2 + 2 w(a,b)^2) = 3 w(a,b)^2.
-    """
-    total = Fraction(0)
-    for node, coeff in d2.items.items():
-        if node.degree != 2:
-            raise T.DomainError("dbar_prime is defined on degree-2 diagrams only")
-        a, b, c, d = node.labels
-        total += coeff * (
-            4 * omega(a, b) * omega(c, d)
-            - 2 * omega(a, d) * omega(b, c)
-            + 2 * omega(a, c) * omega(b, d)
-        )
-    return total
 
 
 class CertificateError(ValueError):

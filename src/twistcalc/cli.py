@@ -15,7 +15,7 @@ from .casson import twist_audit
 from .expansion import default_expansion, symplectic_defect
 from .diagrams import eta
 from .johnson import TwistEntry, twist_sum
-from .surface import BarcodeError, _free_reduce, barcode_homology
+from .surface import BarcodeError, _free_reduce, barcode_homology, validate_barcode
 from .tensor import DomainError, Tensor, render
 
 EXIT_OK = 0
@@ -43,7 +43,12 @@ def parse_twist_file(text, g):
         if len(fields) < 2:
             raise TwistFileError("line %d: expected 'coeff genus k1 ... kn'" % lineno)
         try:
-            entry = TwistEntry(fields[0], fields[1], fields[2:])
+            try:
+                entry = TwistEntry(fields[0], fields[1], fields[2:])
+            except BarcodeError:
+                # TwistEntry knows no g: name the first bad entry, out of range included.
+                validate_barcode(fields[2:], g)
+                raise
             bounding = barcode_homology(entry.barcode, g).is_zero()
         except (BarcodeError, DomainError) as e:
             raise TwistFileError("line %d: %s" % (lineno, e))

@@ -15,11 +15,9 @@ coefficients and cyclicizes once.
 """
 
 from fractions import Fraction
-from itertools import chain, combinations
 from math import lcm
 
 from . import tensor as T
-from .surface import omega
 
 
 class TreeDiagram(T.Value):
@@ -138,7 +136,8 @@ def eta(d, trunc=5, g=None):
 
     With g None the genus is read from the labels of the first node.  Raises
     DegreeMismatchError when a node's labels have another genus, and
-    DomainError when trunc is below a tree's degree + 2, its reading's degree.
+    DomainError when g or trunc is below 1, as for any Tensor, or when trunc
+    is below a tree's degree + 2, its reading's degree.
     N is linear, so the readings are summed as ints over one den and cyclicized once.
     """
     if g is None:
@@ -146,6 +145,7 @@ def eta(d, trunc=5, g=None):
         if some is None:
             raise T.DomainError("cannot infer the genus of an empty DiagramSum")
         g = _node_genus(some)
+    T._check_shape(g, trunc)
     den = lcm(*(c.denominator for c in d.items.values()))
     num = {}
     for node, c in d.items.items():
@@ -164,80 +164,3 @@ def eta(d, trunc=5, g=None):
 
 def _node_genus(node):
     return len(node.labels[0]) // 2
-
-
-def morita_tau2(pairs):
-    """tau_2 of a twist along a BSCC with the given symplectic spine pairs.
-
-    Equals sum_i u_i (.) v_i + sum_{i<j} T(u_i, v_i, u_j, v_j); requires
-    omega(u_i, v_i) = 1 and all cross pairings zero.
-    """
-    pairs = [tuple(p) for p in pairs]
-    for i, (u, v) in enumerate(pairs):
-        if omega(u, v) != 1:
-            raise T.DomainError("pair %d is not symplectically normalized" % i)
-        for j in range(i):
-            w, x = pairs[j]
-            if any(omega(p, q) != 0 for p in (u, v) for q in (w, x)):
-                raise T.DomainError("pairs %d and %d are not orthogonal" % (j, i))
-    odots = ((Fraction(1, 2), (u, v, u, v)) for u, v in pairs)
-    trees = ((1, p + q) for p, q in combinations(pairs, 2))
-    return tree_sum(chain(odots, trees))
-
-
-# -- the mod-3 map kappa ------------------------------------------------
-
-
-def _det(m):
-    """Integer determinant by Laplace expansion along the first row."""
-    if not m:
-        return 1
-    return sum(
-        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1 :] for row in m[1:]])
-        for j in range(len(m))
-        if m[0][j]
-    )
-
-
-def _wedge4(vectors):
-    """v1 ^ v2 ^ v3 ^ v4 over Z/3, keyed by sorted index 4-sets.
-
-    The coefficient of a 4-set is the 4x4 minor of the label coordinates on
-    those indices, mod 3; zero coefficients are left out.
-    """
-    out = {}
-    for key in combinations(range(len(vectors[0])), 4):
-        c = _det([[v.coords[i] for i in key] for v in vectors]) % 3
-        if c:
-            out[key] = c
-    return out
-
-
-def kappa(d):
-    """The map to Lambda^4(H/3H): a tree goes to the wedge of its labels.
-
-    Defined on degree-2 DiagramSums only; returns a dict keyed by sorted
-    index 4-tuples with values in {1, 2} mod 3 (empty dict for zero).  A
-    tree whose wedge vanishes, such as u (.) v = (1/2) T(u,v,u,v), is
-    skipped before its coefficient is reduced mod 3, so it contributes 0
-    whatever its coefficient.
-    """
-    out = {}
-    for node, coeff in d.items.items():
-        if node.degree != 2:
-            raise T.DomainError("kappa is defined on degree-2 diagrams only")
-        wedge = _wedge4(node.labels)
-        if not wedge:
-            continue
-        if coeff.denominator % 3 == 0:
-            raise T.DomainError("coefficient not reducible mod 3")
-        c = (coeff.numerator * pow(coeff.denominator, -1, 3)) % 3
-        if c == 0:
-            continue
-        for key, val in wedge.items():
-            total = (out.get(key, 0) + c * val) % 3
-            if total == 0:
-                out.pop(key, None)
-            else:
-                out[key] = total
-    return out

@@ -18,20 +18,21 @@ from .surface import cyclic_reduce, validate_barcode
 
 
 class TwistEntry(T.Value):
-    """A signed Dehn twist along a bounding simple closed curve."""
+    """A signed Dehn twist along a bounding simple closed curve: a nonzero int or
+    Fraction exponent, an int genus in {1, 2} (neither a bool), a checked barcode."""
 
     __slots__ = ("coeff", "genus", "barcode")
 
     def __init__(self, coeff, genus, barcode):
-        if not isinstance(coeff, (int, Fraction)):
+        if type(coeff) is not int and not isinstance(coeff, Fraction):
             raise T.DomainError("twist exponent must be an int or a Fraction")
         if coeff == 0:
             raise T.DomainError("twist exponent must be nonzero")
-        if genus not in (1, 2):
+        if type(genus) is not int or genus not in (1, 2):
             raise T.DomainError("twist genus must be 1 or 2")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "barcode", tuple(barcode))
+        object.__setattr__(self, "barcode", validate_barcode(tuple(barcode)))
 
 
 def _fold(exp, twists, k):

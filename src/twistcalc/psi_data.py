@@ -12,8 +12,8 @@ from fractions import Fraction
 from .casson import CassonReport
 from .diagrams import eta, tree, tree_sum
 from .johnson import TwistEntry, derivation_bracket
-from .surface import HVector, barcode_homology, commutator_barcode, omega
-from .tensor import DomainError, Value
+from .surface import HVector, commutator_barcode
+from .tensor import Value
 
 GENUS = 2
 
@@ -177,21 +177,6 @@ def bracket_decomposition_value():
         derivation_bracket(eta(tree(A1, B2, A2)), eta(tree(A1, B1, B2))),
     )
     return term1 + term2 + term3 + term4 + term5
-
-
-def spine_pairs(twist):
-    """Normalized homology pairs of a twist's spine, for the Morita formula."""
-    pairs = []
-    for a_bc, b_bc in twist.spine:
-        u = barcode_homology(a_bc, GENUS)
-        v = barcode_homology(b_bc, GENUS)
-        w = omega(u, v)
-        if w == -1:
-            u, v = v, u
-        elif w != 1:
-            raise DomainError("spine pair of %s is not unimodular" % twist.name)
-        pairs.append((u, v))
-    return pairs
 
 
 def load_psi():

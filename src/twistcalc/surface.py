@@ -54,17 +54,6 @@ class HVector(Value):
         return "HVector(%r)" % (self.coords,)
 
 
-def omega(u, v):
-    """The symplectic form with omega(a_i, b_i) = 1 on the standard basis."""
-    if len(u) != len(v):
-        raise DomainError("omega requires vectors of equal length")
-    if len(u) % 2 != 0:
-        raise DomainError("omega requires even-length vectors")
-    g = len(u) // 2
-    uc, vc = u.coords, v.coords
-    return sum(uc[i] * vc[g + i] - uc[g + i] * vc[i] for i in range(g))
-
-
 # -- barcodes ----------------------------------------------------------
 
 

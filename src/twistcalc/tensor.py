@@ -98,10 +98,7 @@ class Tensor(Value):
     __slots__ = ("g", "trunc", "num", "den")
 
     def __init__(self, g, trunc, terms=None):
-        if g < 1:
-            raise DomainError("genus must be >= 1")
-        if trunc < 1:
-            raise DomainError("truncation degree must be >= 1")
+        _check_shape(g, trunc)
         clean = {}
         if terms:
             for word, coeff in terms.items():
@@ -211,6 +208,14 @@ def _tensor(g, trunc, num, den=1):
     return _store(object.__new__(Tensor), g, trunc, num, den)
 
 
+def _check_shape(g, trunc):
+    """Raise DomainError unless the genus and the truncation degree are >= 1."""
+    if g < 1:
+        raise DomainError("genus must be >= 1")
+    if trunc < 1:
+        raise DomainError("truncation degree must be >= 1")
+
+
 def _check_compatible(g, trunc, t):
     """Raise DegreeMismatchError unless t has genus g and truncation trunc."""
     if t.g != g:
@@ -305,11 +310,6 @@ def cyclicize(x):
 def extract(x, k):
     """The homogeneous part of degree k."""
     return _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if len(w) == k}, x.den)
-
-
-def truncate(x, k):
-    """All parts of degree <= k."""
-    return _tensor(x.g, x.trunc, {w: c for w, c in x.num.items() if len(w) <= k}, x.den)
 
 
 def _horner(num, den, n, coeff, scale):

@@ -6,8 +6,7 @@ import pytest
 
 sys.dont_write_bytecode = True  # before twistcalc is imported, so no .pyc lands under src/
 
-from twistcalc import default_expansion
-from twistcalc.expansion import SymplecticExpansion
+from twistcalc.expansion import SymplecticExpansion, default_expansion
 from twistcalc.surface import commutator_barcode
 from twistcalc.tensor import Tensor, bracket
 

@@ -9,9 +9,10 @@ import time
 import pytest
 
 from conftest import random_barcode, random_null_homologous_barcode, rng_for
+from oracles import dbar_prime, kappa, morita_tau2, spine_pairs
 from twistcalc import psi_data as P
-from twistcalc.casson import dbar_prime, lambda_J3, twist_audit
-from twistcalc.diagrams import eta, kappa, morita_tau2, odot, tree
+from twistcalc.casson import lambda_J3, twist_audit
+from twistcalc.diagrams import eta, odot, tree
 from twistcalc.expansion import default_expansion, log_theta, symplectic_defect, theta
 from twistcalc.johnson import L_k, apply_derivation, twist_sum
 from twistcalc.surface import HVector, free_reduce, inverse_barcode
@@ -107,7 +108,7 @@ def test_criterion_7_casson_numbers(exp, psi):
 def test_criterion_8_per_twist_consistency(exp):
     t0 = time.perf_counter()
     for tw in P.load_psi():
-        form = morita_tau2(P.spine_pairs(tw))
+        form = morita_tau2(spine_pairs(tw))
         assert dbar_prime(form) == tw.genus * (2 * tw.genus + 1)
         assert eta(form, N) == L_k(exp, tw.barcode, 4)
     report("8 per-twist Morita consistency", t0)

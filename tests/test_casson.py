@@ -3,18 +3,18 @@ from fractions import Fraction
 import pytest
 
 from conftest import rng_for
+from oracles import dbar_prime, morita_tau2, omega, spine_pairs
 from twistcalc.casson import (
     CertificateError,
     d_core,
     d_prime,
-    dbar_prime,
     lambda_J3,
     twist_audit,
 )
-from twistcalc.diagrams import morita_tau2, odot, tree
+from twistcalc.diagrams import odot, tree
 from twistcalc.johnson import TwistEntry, twist_sum
-from twistcalc.psi_data import load_psi, psi_twist_entries, spine_pairs
-from twistcalc.surface import HVector, commutator_barcode, omega
+from twistcalc.psi_data import load_psi, psi_twist_entries
+from twistcalc.surface import HVector, commutator_barcode
 from twistcalc.tensor import DomainError
 
 G = 2

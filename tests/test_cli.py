@@ -89,6 +89,13 @@ def test_parse_reports_the_first_fault_of_a_record(line, g, message):
     assert str(info.value) == "line 3: " + message
 
 
+def test_parse_reports_an_out_of_range_entry_before_a_later_zero():
+    # The zero is TwistEntry's fault too, but the entry out of range comes first.
+    with pytest.raises(TwistFileError) as info:
+        parse_twist_file("1 1 9 0\n", 2)
+    assert str(info.value) == "line 1: barcode entry 9 out of range for genus 2"
+
+
 def test_parse_checks_each_barcode_once(monkeypatch):
     text = format_twist_file(psi_twist_entries())
     calls = []

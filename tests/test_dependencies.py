@@ -4,6 +4,7 @@ and start-up loads neither ``dataclasses`` nor what that module pulls in, nor
 
 import ast
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -42,3 +43,41 @@ def test_cli_start_up_leaves_out_dataclasses_and_inspect():
         [sys.executable, "-I", "-S", "-B", "-c", code], capture_output=True, text=True, check=True
     )
     assert out.stdout == "[]\n"
+
+
+def _names(tree):
+    """The identifiers of a module and the words of its strings."""
+    idents, words = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            idents.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            idents.add(node.attr)
+        elif isinstance(node, ast.alias):
+            idents.add(node.asname or node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            words.update(re.findall(r"\w+", node.value))
+    return idents, words
+
+
+def test_every_public_definition_is_used_by_the_product():
+    # Product code is what a command or the benchmark runs: each public
+    # top-level def or class in src is named by src (not the package's
+    # __init__) or by perfbench, as an identifier, or as a word in a string
+    # of another module (perfbench's tracer names its layers in strings).
+    # A module's own prose about a definition is not a use.
+    bench = SRC.parent.parent / "perfbench"
+    src = sorted(SRC.glob("*.py"))
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in src + sorted(bench.glob("*.py"))}
+    names = {p: _names(tree) for p, tree in trees.items() if p.name != "__init__.py"}
+    unused = []
+    for path in src:
+        for node in trees[path].body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name[0] == "_":
+                continue
+            if not any(
+                node.name in idents or (p != path and node.name in words)
+                for p, (idents, words) in names.items()
+            ):
+                unused.append("%s:%d %s" % (path.name, node.lineno, node.name))
+    assert unused == []

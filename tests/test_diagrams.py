@@ -4,13 +4,12 @@ from itertools import chain, combinations, permutations
 import pytest
 
 from conftest import rng_for
+from oracles import kappa, morita_tau2
 from twistcalc import psi_data
 from twistcalc.diagrams import (
     DiagramSum,
     TreeDiagram,
     eta,
-    kappa,
-    morita_tau2,
     odot,
     tree,
     tree_sum,
@@ -102,6 +101,22 @@ def test_eta_genus_inferred_from_labels():
 def test_eta_uses_the_given_genus():
     assert eta(tree(A1, A2, B1, B2), N, G) == eta(tree(A1, A2, B1, B2), N)
     assert eta(DiagramSum(), N, 3) == Tensor.zero(3, N)
+
+
+@pytest.mark.parametrize(
+    "trunc, g, message",
+    [
+        (0, 2, "truncation degree must be >= 1"),
+        (5, 0, "genus must be >= 1"),
+        (5, -3, "genus must be >= 1"),
+    ],
+)
+def test_eta_rejects_what_a_tensor_rejects(trunc, g, message):
+    # The same shapes and messages as the checked Tensor constructor.
+    with pytest.raises(DomainError, match="^%s$" % message):
+        Tensor(g, trunc)
+    with pytest.raises(DomainError, match="^%s$" % message):
+        eta(DiagramSum(), trunc, g)
 
 
 def test_eta_rejects_labels_of_another_genus():

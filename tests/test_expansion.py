@@ -12,6 +12,7 @@ from conftest import (
     random_null_homologous_barcode,
     rng_for,
 )
+from oracles import truncate
 from twistcalc.expansion import (
     SymplecticExpansion,
     default_expansion,
@@ -30,7 +31,6 @@ from twistcalc.tensor import (
     extract,
     product,
     render,
-    truncate,
 )
 
 GOLDEN = Path(__file__).parent / "golden_defect_g2_N5.txt"

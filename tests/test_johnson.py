@@ -9,7 +9,8 @@ from conftest import (
     random_null_homologous_barcode,
     rng_for,
 )
-from twistcalc.diagrams import eta, morita_tau2, odot
+from oracles import morita_tau2
+from twistcalc.diagrams import eta, odot
 from twistcalc.expansion import _theta, default_expansion, theta
 from twistcalc.johnson import (
     L_k,

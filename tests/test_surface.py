@@ -3,6 +3,7 @@ import re
 import pytest
 
 from conftest import random_barcode, rng_for
+from oracles import omega
 from twistcalc.expansion import theta
 from twistcalc.johnson import L_k
 from twistcalc.surface import (
@@ -15,7 +16,6 @@ from twistcalc.surface import (
     cyclic_reduce,
     free_reduce,
     inverse_barcode,
-    omega,
     validate_barcode,
 )
 

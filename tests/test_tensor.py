@@ -6,6 +6,7 @@ from math import factorial, gcd
 import pytest
 
 from conftest import assert_canonical, random_barcode, rng_for
+from oracles import truncate
 from twistcalc.expansion import default_expansion, log_theta
 from twistcalc.tensor import (
     DegreeMismatchError,
@@ -23,7 +24,6 @@ from twistcalc.tensor import (
     log_series,
     product,
     render,
-    truncate,
 )
 
 G = 2

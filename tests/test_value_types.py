@@ -13,7 +13,7 @@ from twistcalc.casson import CassonReport
 from twistcalc.diagrams import DiagramSum, TreeDiagram, tree
 from twistcalc.johnson import TwistEntry
 from twistcalc.psi_data import PsiTwist
-from twistcalc.surface import HVector
+from twistcalc.surface import BarcodeError, HVector
 from twistcalc.tensor import DomainError, Tensor
 
 A1 = HVector.basis(2, 1)
@@ -141,6 +141,22 @@ def test_twist_entry_coefficient_is_an_int_or_a_fraction():
     for coeff in (0.5, 1.0, "x"):
         with pytest.raises(DomainError, match="^twist exponent must be an int or a Fraction$"):
             TwistEntry(coeff, 1, (1, -2, -1, 2))
+
+
+@pytest.mark.parametrize(
+    "coeff, genus, barcode, error, message",
+    [
+        (True, 1, (1, -2, -1, 2), DomainError, "twist exponent must be an int or a Fraction"),
+        (1, True, (1, -2, -1, 2), DomainError, "twist genus must be 1 or 2"),
+        (1, 1.0, (1, -2, -1, 2), DomainError, "twist genus must be 1 or 2"),
+        (1, 1, (1, "a"), BarcodeError, "barcode entry 'a' is not an int"),
+        (1, 1, (1, True), BarcodeError, "barcode entry True is not an int"),
+        (1, 1, (1, 0), BarcodeError, "barcode entries must be nonzero"),
+    ],
+)
+def test_twist_entry_rejects_the_wrong_types(coeff, genus, barcode, error, message):
+    with pytest.raises(error, match="^%s$" % message):
+        TwistEntry(coeff, genus, barcode)
 
 
 def test_tree_diagram_validation():
