@@ -1,10 +1,10 @@
 """Tree-like Jacobi diagrams of degree 1-3 and their tensor expansions.
 
-Trees are planar caterpillars with counterclockwise vertex orientation,
-given by their ordered leaf labels (3, 4 or 5 HVectors).  The tree is the
-only node type: a (.) b ("odot") is half of the symmetric degree-2 tree,
-(1/2) T(a,b,a,b).  The expansion eta sends a tree to the cyclicization of
-a bracket reading:
+A tree is a planar caterpillar with counterclockwise vertex orientation,
+given by the tuple of its ordered leaf labels (3, 4 or 5 HVectors), and
+has degree (leaves - 2).  The tree is the only node type: a (.) b ("odot")
+is half of the symmetric degree-2 tree, (1/2) T(a,b,a,b).  The expansion
+eta sends a tree to the cyclicization of a bracket reading:
 
     degree 1, leaves (a,b,c):     N( a [c,b] )
     degree 2, leaves (a,b,c,d):   N( [a,b] [c,d] )
@@ -20,44 +20,32 @@ from math import lcm
 from . import tensor as T
 
 
-class TreeDiagram(T.Value):
-    """A labeled caterpillar tree; degree = number of trivalent vertices."""
-
-    __slots__ = ("labels",)
-
-    def __init__(self, labels):
-        labels = tuple(labels)
-        if len(labels) not in (3, 4, 5):
-            raise T.DomainError("trees carry 3, 4 or 5 leaves")
-        lengths = {len(v) for v in labels}
-        if len(lengths) != 1 or next(iter(lengths)) % 2 != 0:
-            raise T.DomainError("leaf labels must share an even length")
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def degree(self):
-        return len(self.labels) - 2
-
-
 class DiagramSum(T.Value):
-    """Finitely supported rational combination of trees.
+    """Finitely supported rational combination of trees, keyed by label tuples.
 
-    The constructor drops zero coefficients.  ``==`` compares formal sums of
-    labelled trees, without the AS, IHX or multilinearity relations, so sums
-    equal in the diagram space may compare unequal; compare values through
-    ``eta``.
+    The constructor is the one check of a tree: each key, even one with a
+    zero coefficient, which it drops, holds 3, 4 or 5 labels of one even
+    length >= 2, else DomainError.  ``==`` compares formal sums of labelled
+    trees, without the AS, IHX or multilinearity relations, so sums equal in
+    the diagram space may compare unequal; compare values through ``eta``.
     """
 
     __slots__ = ("items",)
     __hash__ = None
 
-    def __init__(self, items=None):
+    def __init__(self, items=()):
         clean = {}
-        if items:
-            for node, coeff in dict(items).items():
-                c = Fraction(coeff)
-                if c != 0:
-                    clean[node] = c
+        for labels, coeff in dict(items).items():
+            if len(labels) not in (3, 4, 5):
+                raise T.DomainError("trees carry 3, 4 or 5 leaves")
+            n = len(labels[0])
+            if n % 2 or any(len(v) != n for v in labels):
+                raise T.DomainError("leaf labels must share an even length")
+            if n == 0:
+                raise T.DomainError("genus must be >= 1")
+            c = Fraction(coeff)
+            if c != 0:
+                clean[labels] = c
         object.__setattr__(self, "items", clean)
 
     def __add__(self, other):
@@ -90,19 +78,19 @@ def tree_sum(terms):
     not once per partial sum as in a sum of DiagramSums."""
     items = {}
     for c, labels in terms:
-        node = TreeDiagram(labels)
-        items[node] = items.get(node, 0) + c
+        labels = tuple(labels)
+        items[labels] = items.get(labels, 0) + c
     return DiagramSum(items)
 
 
 def tree(*labels):
     """A single tree as a DiagramSum."""
-    return DiagramSum({TreeDiagram(labels): 1})
+    return DiagramSum({labels: 1})
 
 
 def odot(u, v):
     """u (.) v = (1/2) T(u, v, u, v) as a DiagramSum."""
-    return DiagramSum({TreeDiagram((u, v, u, v)): Fraction(1, 2)})
+    return DiagramSum({(u, v, u, v): Fraction(1, 2)})
 
 
 def _times(x, y):
@@ -134,8 +122,8 @@ def _reading(labels):
 def eta(d, trunc=5, g=None):
     """Expand a DiagramSum into the tensor algebra over genus g.
 
-    With g None the genus is read from the labels of the first node.  Raises
-    DegreeMismatchError when a node's labels have another genus, and
+    With g None the genus is read from the labels of the first tree.  Raises
+    DegreeMismatchError when a tree's labels have another genus, and
     DomainError when g or trunc is below 1, as for any Tensor, or when trunc
     is below a tree's degree + 2, its reading's degree.
     N is linear, so the readings are summed as ints over one den and cyclicized once.
@@ -144,23 +132,19 @@ def eta(d, trunc=5, g=None):
         some = next(iter(d.items), None)
         if some is None:
             raise T.DomainError("cannot infer the genus of an empty DiagramSum")
-        g = _node_genus(some)
+        g = len(some[0]) // 2
     T._check_shape(g, trunc)
     den = lcm(*(c.denominator for c in d.items.values()))
     num = {}
-    for node, c in d.items.items():
-        h = _node_genus(node)
+    for labels, c in d.items.items():
+        h = len(labels[0]) // 2
         if h != g:
             raise T.DegreeMismatchError("diagram labels have genus %d, not %d" % (h, g))
-        if len(node.labels) > trunc:
+        if len(labels) > trunc:
             raise T.DomainError(
-                "a degree-%d tree needs truncation >= %d" % (node.degree, len(node.labels))
+                "a degree-%d tree needs truncation >= %d" % (len(labels) - 2, len(labels))
             )
         f = c.numerator * (den // c.denominator)
-        for w, v in _reading(node.labels):
+        for w, v in _reading(labels):
             num[w] = num.get(w, 0) + f * v
     return T.cyclicize(T._tensor(g, trunc, num, den))
-
-
-def _node_genus(node):
-    return len(node.labels[0]) // 2

@@ -32,7 +32,7 @@ class TwistEntry(T.Value):
             raise T.DomainError("twist genus must be 1 or 2")
         object.__setattr__(self, "coeff", coeff)
         object.__setattr__(self, "genus", genus)
-        object.__setattr__(self, "barcode", validate_barcode(tuple(barcode)))
+        object.__setattr__(self, "barcode", validate_barcode(barcode))
 
 
 def _fold(exp, twists, k):

@@ -59,6 +59,7 @@ class HVector(Value):
 
 def validate_barcode(bc, g=None):
     """Check entries are nonzero ints and, if g is given, within [-2g, 2g]."""
+    bc = tuple(bc)
     for k in bc:
         if type(k) is not int:
             raise BarcodeError("barcode entry %r is not an int" % (k,))
@@ -66,7 +67,7 @@ def validate_barcode(bc, g=None):
             raise BarcodeError("barcode entries must be nonzero")
         if g is not None and abs(k) > 2 * g:
             raise BarcodeError("barcode entry %d out of range for genus %d" % (k, g))
-    return tuple(bc)
+    return bc
 
 
 def barcode_letters(bc, g):

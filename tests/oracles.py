@@ -34,10 +34,10 @@ def dbar_prime(d2):
     so dbar'(a (.) b) = (1/2)(4 w(a,b)^2 + 2 w(a,b)^2) = 3 w(a,b)^2.
     """
     total = Fraction(0)
-    for node, coeff in d2.items.items():
-        if node.degree != 2:
+    for labels, coeff in d2.items.items():
+        if len(labels) != 4:
             raise T.DomainError("dbar_prime is defined on degree-2 diagrams only")
-        a, b, c, d = node.labels
+        a, b, c, d = labels
         total += coeff * (
             4 * omega(a, b) * omega(c, d)
             - 2 * omega(a, d) * omega(b, c)
@@ -115,10 +115,10 @@ def kappa(d):
     whatever its coefficient.
     """
     out = {}
-    for node, coeff in d.items.items():
-        if node.degree != 2:
+    for labels, coeff in d.items.items():
+        if len(labels) != 4:
             raise T.DomainError("kappa is defined on degree-2 diagrams only")
-        wedge = _wedge4(node.labels)
+        wedge = _wedge4(labels)
         if not wedge:
             continue
         if coeff.denominator % 3 == 0:

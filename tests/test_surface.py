@@ -80,6 +80,20 @@ def test_barcode_letters_beta_inverse():
     assert barcode_letters([-4], G) == [(4, -1)]
 
 
+@pytest.mark.parametrize(
+    "call, expected",
+    [
+        (lambda: validate_barcode(iter([1, 2])), (1, 2)),
+        (lambda: free_reduce(iter([1, 2])), (1, 2)),
+        (lambda: cyclic_reduce(iter([1, 2, -1])), (2,)),
+        (lambda: commutator_barcode(iter([1]), iter([-2])), (1, -2, -1, 2)),
+    ],
+    ids=["validate_barcode", "free_reduce", "cyclic_reduce", "commutator_barcode"],
+)
+def test_barcode_checks_read_an_iterator_once(call, expected):
+    assert call() == expected
+
+
 def test_barcode_rejects_zero_entry():
     with pytest.raises(BarcodeError):
         validate_barcode([1, 0, 2])

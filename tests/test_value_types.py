@@ -1,20 +1,24 @@
 """The contract of the value types, the subclasses of ``tensor.Value``:
 immutable, equal and hashed by their fields, pickled and copied by value,
 with pinned reprs and validation.  ``Tensor`` and ``DiagramSum`` keep that
-contract with a hash and a pickle of their own."""
+contract with a hash and a pickle of their own.  A census fails when a
+``Value`` subclass in ``twistcalc`` has no row in ``CASES``."""
 
 import copy
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import twistcalc
 from twistcalc.casson import CassonReport
-from twistcalc.diagrams import DiagramSum, TreeDiagram, tree
+from twistcalc.diagrams import DiagramSum, odot, tree, tree_sum
 from twistcalc.johnson import TwistEntry
 from twistcalc.psi_data import PsiTwist
 from twistcalc.surface import BarcodeError, HVector
-from twistcalc.tensor import DomainError, Tensor
+from twistcalc.tensor import DomainError, Tensor, Value
 
 A1 = HVector.basis(2, 1)
 B1 = HVector.basis(2, 3)
@@ -28,13 +32,6 @@ CASES = [
         ("coeff", "genus", "barcode"),
         (1, 1, (1, -2, -1, 2)),
         "TwistEntry(coeff=1, genus=1, barcode=(1, -2, -1, 2))",
-    ),
-    (
-        TreeDiagram,
-        ("labels",),
-        ((A1, B1, A1),),
-        "TreeDiagram(labels=(HVector((1, 0, 0, 0)), HVector((0, 0, 1, 0)), "
-        "HVector((1, 0, 0, 0))))",
     ),
     (
         CassonReport,
@@ -106,8 +103,8 @@ def test_tensor_and_diagram_sum_copy_and_pickle_by_value():
 def test_distinct_fields_compare_unequal():
     assert TwistEntry(1, 1, (1, -2, -1, 2)) != TwistEntry(-1, 1, (1, -2, -1, 2))
     assert HVector((1, 0, 0, 0)) != HVector((0, 1, 0, 0))
-    assert TreeDiagram((A1, B1, A1)) != TreeDiagram((B1, A1, A1))
-    assert HVector((1, 0, 0, 0)) != TreeDiagram((A1, B1, A1))
+    assert tree(A1, B1, A1) != tree(B1, A1, A1)
+    assert HVector((1, 0, 0, 0)) != tree(A1, B1, A1)
 
 
 def test_hvector_coords_become_a_tuple_of_ints():
@@ -160,15 +157,46 @@ def test_twist_entry_rejects_the_wrong_types(coeff, genus, barcode, error, messa
 
 
 def test_tree_diagram_validation():
-    assert TreeDiagram([A1, B1, A1, B1]).labels == (A1, B1, A1, B1)
-    assert [TreeDiagram((A1,) * n).degree for n in (3, 4, 5)] == [1, 2, 3]
-    for n in (2, 6):
-        with pytest.raises(DomainError, match="^trees carry 3, 4 or 5 leaves$"):
-            TreeDiagram((A1,) * n)
-    odd = HVector((1, 0, 1))
-    for labels in ((A1, B1, HVector.basis(3, 1)), (odd, odd, odd)):
+    wide, odd, empty = HVector.basis(3, 1), HVector((1, 0, 1)), HVector(())
+    builders = (
+        tree,
+        lambda *labels: tree_sum([(1, labels)]),
+        lambda *labels: DiagramSum({labels: Fraction(1, 3)}),
+    )
+    for build in builders:
+        assert list(build(A1, B1, A1, B1).items) == [(A1, B1, A1, B1)]
+        assert [len(build(*(A1,) * n).items) for n in (3, 4, 5)] == [1, 1, 1]
+        for n in (2, 6):
+            with pytest.raises(DomainError, match="^trees carry 3, 4 or 5 leaves$"):
+                build(*(A1,) * n)
+        for labels in ((A1, B1, wide), (odd, odd, odd)):
+            with pytest.raises(DomainError, match="^leaf labels must share an even length$"):
+                build(*labels)
+        with pytest.raises(DomainError, match="^genus must be >= 1$"):
+            build(empty, empty, empty)
+    assert list(tree_sum([(1, [A1, B1, A1, B1])]).items) == [(A1, B1, A1, B1)]
+    assert list(odot(A1, B1).items) == [(A1, B1, A1, B1)]
+    for u, v in ((A1, wide), (odd, odd)):
         with pytest.raises(DomainError, match="^leaf labels must share an even length$"):
-            TreeDiagram(labels)
+            odot(u, v)
+    with pytest.raises(DomainError, match="^genus must be >= 1$"):
+        odot(empty, empty)
+    with pytest.raises(DomainError, match="^leaf labels must share an even length$"):
+        DiagramSum({"junk": 1})
+    with pytest.raises(DomainError, match="^trees carry 3, 4 or 5 leaves$"):
+        DiagramSum({(A1, B1): 0})
+
+
+def test_every_value_type_has_a_contract_row():
+    for module in pkgutil.iter_modules(twistcalc.__path__):
+        importlib.import_module("twistcalc." + module.name)
+    found, todo = set(), [Value]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            if cls.__module__.startswith("twistcalc.") and cls not in found:
+                found.add(cls)
+                todo.append(cls)
+    assert found == {case[0] for case in CASES} | {Tensor, DiagramSum}
 
 
 def test_casson_report_lambda_defaults_to_none():
