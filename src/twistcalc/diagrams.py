@@ -18,13 +18,14 @@ from fractions import Fraction
 from math import lcm
 
 from . import tensor as T
+from .surface import HVector
 
 
 class DiagramSum(T.Value):
     """Finitely supported rational combination of trees, keyed by label tuples.
 
     The constructor is the one check of a tree: each key, even one with a
-    zero coefficient, which it drops, holds 3, 4 or 5 labels of one even
+    zero coefficient, which it drops, holds 3, 4 or 5 HVectors of one even
     length >= 2, else DomainError.  ``==`` compares formal sums of labelled
     trees, without the AS, IHX or multilinearity relations, so sums equal in
     the diagram space may compare unequal; compare values through ``eta``.
@@ -43,6 +44,8 @@ class DiagramSum(T.Value):
                 raise T.DomainError("leaf labels must share an even length")
             if n == 0:
                 raise T.DomainError("genus must be >= 1")
+            if not all(isinstance(v, HVector) for v in labels):
+                raise T.DomainError("leaf labels must be HVectors")
             c = Fraction(coeff)
             if c != 0:
                 clean[labels] = c

@@ -4,7 +4,8 @@ L_k is the degree-k part of (1/2) N(l^2), l = log theta of a null-homologous
 barcode; twist_sum gives sum c L_4 (tau_2) and sum c L_5 (tau_3 when tau_2
 vanishes) of a signed twist list from one log theta per twist.  Both are one
 int fold that sums the twists' products before N and turns the middle
-square l_{k/2}^2 only k/2 times.
+square l_{k/2}^2 only k/2 times; L_4 and L_5 take no series, as
+log theta = theta - 1 below degree 4.
 A homogeneous tensor is itself a derivation, read as a Hom(H, .) map
 through the duality x -> omega(x, -).
 """
@@ -37,16 +38,20 @@ class TwistEntry(T.Value):
 
 def _fold(exp, twists, k):
     """[sum c L_j for j = 4..k] over (c, checked barcode) pairs, as in L_k:
-    l = log theta on ints, reduced by one gcd and bucketed by degree; each
-    degree is summed in int dicts over one den.  As l_1 = theta_1, the barcode
-    is null-homologous exactly when l has no degree-1 word.
+    l = log theta on ints (theta - 1 for k <= 5), reduced by one gcd and
+    bucketed by degree; each degree is summed in int dicts over one den, and
+    N turns its nonzero entries.  As l_1 = theta_1, the barcode is
+    null-homologous exactly when l has no degree-1 word.
     """
     if not 4 <= k <= exp.trunc:
         raise T.DomainError("L_k needs 4 <= k <= truncation degree")
     n = k - 2
     logs = []
     for c, bc in twists:
-        l, den = T._log(*_theta(exp, bc, n), n)
+        l, den = _theta(exp, bc, n)
+        del l[()]
+        if n > 3:
+            l, den = T._log(l, den, n)
         q = gcd(den, *l.values())
         parts = [[] for _ in range(n + 1)]
         for w, v in l.items():
@@ -68,13 +73,14 @@ def _fold(exp, twists, k):
                     for v, b in parts[j - i]:
                         w = u + v
                         acc[w] = acc.get(w, 0) + fa * b
-        num = {}
-        for turns, acc in ((range(j), cross), (range(j // 2), square)):
+        num = {w: v for w, v in cross.items() if v}
+        for turns, acc in ((range(1, j), cross), (range(j // 2), square)):
             for w, v in acc.items():
-                ww = w + w
-                for r in turns:
-                    x = ww[r : r + j]
-                    num[x] = num.get(x, 0) + v
+                if v:
+                    ww = w + w
+                    for r in turns:
+                        x = ww[r : r + j]
+                        num[x] = num.get(x, 0) + v
         sums.append(T._tensor(exp.g, exp.trunc, num, den))
     return sums
 
@@ -83,7 +89,8 @@ def L_k(exp, bc, k):
     """Degree-k part of the Kawazumi-Kuno tensor for a null-homologous barcode.
 
     It is (1/2) sum_{i=2}^{k-2} N(l_i l_{k-i}), l_i the degree-i part of
-    l = log(theta(bc)), so theta and log are evaluated at degree k-2.  As
+    l = log(theta(bc)), so theta is evaluated at degree k-2; as theta_1 = 0,
+    (theta - 1)^2 starts in degree 4, so log is taken only for k >= 6.  As
     N(xy) = N(yx) for homogeneous x, y, the summands i and k-i pair up; for
     |u| = |v| = i the turns r >= i of uv are the turns r < i of vu, so the
     symmetric square needs no 1/2: with rot^r moving r first letters last,

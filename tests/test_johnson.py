@@ -33,6 +33,7 @@ from twistcalc.tensor import (
     DegreeMismatchError,
     DomainError,
     Tensor,
+    _log,
     bracket,
     cyclicize,
     extract,
@@ -146,6 +147,45 @@ def test_twist_sum_reads_theta_of_cyclically_reduced_barcodes(exp_g2, monkeypatc
     twist_sum(exp_g2, entries, 5)
     assert read == [cyclic_reduce(e.barcode) for e in entries]
     assert sum(map(len, read)) == 176
+
+
+def test_fold_takes_no_log_series_through_L_5(exp_g2, monkeypatch):
+    # theta_1 = 0, so (theta - 1)^2 starts in degree 4 and log theta is
+    # theta - 1 through degree k - 2 <= 3; only k >= 6 takes the series.
+    exp6 = default_expansion(G, 6)
+    calls = []
+
+    def counting_log(num, den, n):
+        calls.append(n)
+        return _log(num, den, n)
+
+    monkeypatch.setattr("twistcalc.tensor._log", counting_log)
+    twist_sum(exp_g2, psi_twist_entries(), 5)
+    L_k(exp_g2, S1, 4)
+    assert calls == []
+    twists = [TwistEntry(1, 1, S1), TwistEntry(-2, 2, GAMMA2), TwistEntry(3, 1, S1)]
+    twist_sum(exp6, twists, 6)
+    assert calls == [4, 4, 4]
+
+
+def test_twist_sum_of_cancelling_twists(exp_g2):
+    # A twist and its inverse cancel in every cross sum and square, which N
+    # then leaves unturned: the sums are zero and canonical, and the pair adds
+    # nothing to psi's.
+    exp6 = default_expansion(G, 6)
+    c = Fraction(-2, 3)
+    pair = [TwistEntry(c, 2, GAMMA2), TwistEntry(-c, 2, GAMMA2)]
+    for exp, k in ((exp_g2, 4), (exp_g2, 5), (exp6, 6)):
+        sums = twist_sum(exp, pair, k)
+        assert sums == [Tensor.zero(G, exp.trunc)] * (k - 3)
+        for value in sums:
+            assert_canonical(value)
+    psi = psi_twist_entries()
+    for k in (4, 5):
+        got = twist_sum(exp_g2, psi[:8] + pair[:1] + psi[8:] + pair[1:], k)
+        for value in got:
+            assert_canonical(value)
+        assert got == twist_sum(exp_g2, psi, k)
 
 
 def full_degree_L_k(exp, bc):

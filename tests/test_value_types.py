@@ -174,6 +174,9 @@ def test_tree_diagram_validation():
                 build(*labels)
         with pytest.raises(DomainError, match="^genus must be >= 1$"):
             build(empty, empty, empty)
+        for labels in (("ab", "cd", "ef"), (A1, B1, (1, 0, 0, 0))):
+            with pytest.raises(DomainError, match="^leaf labels must be HVectors$"):
+                build(*labels)
     assert list(tree_sum([(1, [A1, B1, A1, B1])]).items) == [(A1, B1, A1, B1)]
     assert list(odot(A1, B1).items) == [(A1, B1, A1, B1)]
     for u, v in ((A1, wide), (odd, odd)):
