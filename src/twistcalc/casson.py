@@ -63,19 +63,18 @@ def lambda_J3(t2, twists):
     return Fraction(-d_core(twists), 24)
 
 
-def twist_audit(twists, t2=None):
+def twist_audit(twists, t2):
     """Separate the signed genus-1 and genus-2 twist counts from d and d'.
 
-    n_genus2 = d/8 and n_genus1 = (4d' - 5d)/12.  If the list's tau_2 is
-    given and vanishes, the lambda value is included.
+    n_genus2 = d/8 and n_genus1 = (4d' - 5d)/12.  The lambda value is
+    included when ``t2``, the list's tau_2, vanishes.
     """
     d = d_core(twists)
     dp = d_prime(twists)
-    certified = t2 is not None and t2.is_zero()
     return CassonReport(
         d_value=d,
         d_prime_value=dp,
         n_genus1=Fraction(4 * dp - 5 * d, 12),
         n_genus2=Fraction(d, 8),
-        lambda_value=lambda_J3(t2, twists) if certified else None,
+        lambda_value=lambda_J3(t2, twists) if t2.is_zero() else None,
     )

@@ -26,9 +26,10 @@ class DiagramSum(T.Value):
 
     The constructor is the one check of a tree: each key, even one with a
     zero coefficient, which it drops, holds 3, 4 or 5 HVectors of one even
-    length >= 2, else DomainError.  ``==`` compares formal sums of labelled
-    trees, without the AS, IHX or multilinearity relations, so sums equal in
-    the diagram space may compare unequal; compare values through ``eta``.
+    length >= 2, and each coefficient is exact, not a float, else
+    DomainError.  ``==`` compares formal sums of labelled trees, without the
+    AS, IHX or multilinearity relations, so sums equal in the diagram space
+    may compare unequal; compare values through ``eta``.
     """
 
     __slots__ = ("items",)
@@ -46,7 +47,7 @@ class DiagramSum(T.Value):
                 raise T.DomainError("genus must be >= 1")
             if not all(isinstance(v, HVector) for v in labels):
                 raise T.DomainError("leaf labels must be HVectors")
-            c = Fraction(coeff)
+            c = T._exact(coeff)
             if c != 0:
                 clean[labels] = c
         object.__setattr__(self, "items", clean)
@@ -68,11 +69,8 @@ class DiagramSum(T.Value):
         return self + (-other)
 
     def scale(self, scalar):
-        s = Fraction(scalar)
+        s = T._exact(scalar)
         return DiagramSum({n: c * s for n, c in self.items.items()} if s else {})
-
-    def __rmul__(self, scalar):
-        return self.scale(scalar)
 
 
 def tree_sum(terms):

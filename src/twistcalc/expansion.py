@@ -25,6 +25,7 @@ class SymplecticExpansion:
     """
 
     def __init__(self, g, trunc, log_alpha, log_beta):
+        T._check_shape(g, trunc)
         self.g = g
         self.trunc = trunc
         self.log_alpha = list(log_alpha)
@@ -66,8 +67,7 @@ def default_expansion(g, trunc=5):
     l(beta_i)  = b_i - 1/2 [a_i,b_i] + 1/4 [[a_i,b_i],b_i]
                  + 1/12 [a_i,[a_i,b_i]] + 1/2 [b_i, sum_{j<i} [a_j,b_j]]
     """
-    if g < 1:
-        raise T.DomainError("genus must be >= 1")
+    T._check_shape(g, trunc)
     if trunc < 2:
         raise T.DomainError("truncation degree must be >= 2")
     half = Fraction(1, 2)
@@ -116,16 +116,9 @@ def _theta(exp, bc, n):
     return {w: c * s[d] for d, part in enumerate(parts) for w, c in part.items() if c}, s[0]
 
 
-def theta(exp, bc, degree=None):
-    """Evaluate the expansion on a barcode: truncated product over letters.
-
-    The product is taken at truncation ``degree`` (default exp.trunc), which
-    equals the full-degree theta with its words longer than ``degree`` dropped.
-    """
-    degree = exp.trunc if degree is None else degree
-    if not 1 <= degree <= exp.trunc:
-        raise T.DomainError("evaluation degree must be in 1..truncation degree")
-    return T._tensor(exp.g, degree, *_theta(exp, validate_barcode(bc, exp.g), degree))
+def theta(exp, bc):
+    """Evaluate the expansion on a barcode: truncated product over letters."""
+    return T._tensor(exp.g, exp.trunc, *_theta(exp, validate_barcode(bc, exp.g), exp.trunc))
 
 
 def log_theta(exp, bc):

@@ -1,10 +1,11 @@
 """The embedded genus-2 dataset: the 16-twist element psi and its expected values.
 
 Each twist is a signed Dehn twist along a bounding simple closed curve, and
-the table stores only its name, exponent and spine: the pairs (u, v) of
-sub-barcodes whose homology classes give a symplectic basis of the bounded
-subsurface.  The twist's barcode is derived from the spine as the product of
-the commutators u v u^-1 v^-1, and its genus as the number of pairs.
+the table PSI stores it as a (name, exponent, spine) row: the spine lists
+the pairs (u, v) of sub-barcodes whose homology classes give a symplectic
+basis of the bounded subsurface.  psi_twist_entries derives each twist's
+barcode as the product of the commutators u v u^-1 v^-1 and its genus as
+the number of pairs.
 """
 
 from fractions import Fraction
@@ -13,66 +14,41 @@ from .casson import CassonReport
 from .diagrams import eta, tree, tree_sum
 from .johnson import TwistEntry, derivation_bracket
 from .surface import HVector, commutator_barcode
-from .tensor import Value
 
 GENUS = 2
-
-
-class PsiTwist(Value):
-    """A named twist of psi; its spine pairs sub-barcodes spanning the bounded subsurface."""
-
-    __slots__ = ("name", "coeff", "spine")
-
-    def __init__(self, name, coeff, spine):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "coeff", coeff)
-        object.__setattr__(self, "spine", spine)
-
-    @property
-    def barcode(self):
-        return sum((commutator_barcode(u, v) for u, v in self.spine), ())
-
-    @property
-    def genus(self):
-        return len(self.spine)
-
-    def entry(self):
-        return TwistEntry(self.coeff, self.genus, self.barcode)
-
 
 # [alpha_1, beta_1^-1], the s1 curve, and its inverse [beta_1^-1, alpha_1]:
 # sub-words of several spines.
 _C = commutator_barcode((1,), (-2,))
 _C_INV = commutator_barcode((-2,), (1,))
 
-# The twists of psi in the published order.
-_PSI = (
-    PsiTwist("gamma2", -3, (((3,), (-4,)), ((1,), (-2,)))),
-    PsiTwist("t1", -1, ((_C_INV + (-4, 1), (-2,)),)),
-    PsiTwist("t2", -1, (((1,), (-4, 3, 4, -2)),)),
-    PsiTwist("t3", 2, (((1,), (-4, -3, 4) + _C + (-2,)),)),
-    PsiTwist("t4", 2, (((3,), (-1, -4)),)),
-    PsiTwist("t5", 1, (((1,), (-4, -3, -2)),)),
-    PsiTwist("t6", -1, (((3,), (-2, -1, -4)),)),
-    PsiTwist("t7", -1, (((-3, 4) + _C + (-2, -1, -4), (4,)),)),
-    PsiTwist("t8", 1, (((3, 4, 1), (-2,)),)),
-    PsiTwist("t9", -1, (((1,), (-4, -2)),)),
-    PsiTwist("t10", 1, (((-4, -3, 4) + _C + (-2,), (4,)),)),
-    PsiTwist("t11", -1, ((_C_INV + (-4, 3, 4, 1), (-2,)),)),
-    PsiTwist(
-        "t12",
-        -1,
-        (
-            (
-                (1, -4, -3, 4) + _C + (4, 1) + _C_INV + (-4, 3, 4),
-                (-4, -3, 4) + _C + (-2,),
-            ),
-        ),
-    ),
-    PsiTwist("t13", 1, (((-4, -3, 4) + _C + (-2, -1), (1, 2, 4)),)),
-    PsiTwist("s1", 7, (((1,), (-2,)),)),
-    PsiTwist("s2", 2, (((3,), (-4,)),)),
+# (name, exponent, spine) of each twist of psi, in the published order.
+PSI = (
+    ("gamma2", -3, (((3,), (-4,)), ((1,), (-2,)))),
+    ("t1", -1, ((_C_INV + (-4, 1), (-2,)),)),
+    ("t2", -1, (((1,), (-4, 3, 4, -2)),)),
+    ("t3", 2, (((1,), (-4, -3, 4) + _C + (-2,)),)),
+    ("t4", 2, (((3,), (-1, -4)),)),
+    ("t5", 1, (((1,), (-4, -3, -2)),)),
+    ("t6", -1, (((3,), (-2, -1, -4)),)),
+    ("t7", -1, (((-3, 4) + _C + (-2, -1, -4), (4,)),)),
+    ("t8", 1, (((3, 4, 1), (-2,)),)),
+    ("t9", -1, (((1,), (-4, -2)),)),
+    ("t10", 1, (((-4, -3, 4) + _C + (-2,), (4,)),)),
+    ("t11", -1, ((_C_INV + (-4, 3, 4, 1), (-2,)),)),
+    ("t12", -1, (((1, -4, -3, 4) + _C + (4, 1) + _C_INV + (-4, 3, 4), (-4, -3, 4) + _C + (-2,)),)),
+    ("t13", 1, (((-4, -3, 4) + _C + (-2, -1), (1, 2, 4)),)),
+    ("s1", 7, (((1,), (-2,)),)),
+    ("s2", 2, (((3,), (-4,)),)),
 )
+
+
+def psi_twist_entries():
+    """The twists of PSI as TwistEntries, in the published order."""
+    return [
+        TwistEntry(coeff, len(spine), sum((commutator_barcode(u, v) for u, v in spine), ()))
+        for _, coeff, spine in PSI
+    ]
 
 
 # The Casson-core report of psi: d = -24, d' = 0, the signed genus-1 and
@@ -163,7 +139,7 @@ def bracket_decomposition_value():
     decomposition.
     """
     term1 = derivation_bracket(
-        eta(tree(A1, B1, A2).scale(3) + tree(B2, A2, A1) + tree(A1, B1, B2)),
+        eta(tree_sum([(3, (A1, B1, A2)), (1, (B2, A2, A1)), (1, (A1, B1, B2))])),
         eta(tree(A1, B1, A2, B2)),
     )
     term2 = derivation_bracket(eta(tree(B1, A1, A2 - B2)), eta(tree(A1, A2, B2, A1)))
@@ -177,12 +153,3 @@ def bracket_decomposition_value():
         derivation_bracket(eta(tree(A1, B2, A2)), eta(tree(A1, B1, B2))),
     )
     return term1 + term2 + term3 + term4 + term5
-
-
-def load_psi():
-    """The 16 twists defining psi, in the published order."""
-    return _PSI
-
-
-def psi_twist_entries():
-    return [t.entry() for t in load_psi()]

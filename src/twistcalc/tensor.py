@@ -89,8 +89,9 @@ class Tensor(Value):
     the same map with Fraction coefficients.
 
     The constructor is the checked entry point for outside input: it checks
-    that every generator index is an int in 1..2g, converts the coefficients
-    to Fractions and drops zero coefficients and overlong words, so callers
+    that g, trunc and every generator index are ints (not bools), each index
+    in 1..2g, converts the coefficients to Fractions (a float raises
+    DomainError) and drops zero coefficients and overlong words, so callers
     pass raw accumulated sums.  The operations of the package build their
     results through the trusted ``_tensor`` instead.
     """
@@ -107,7 +108,7 @@ class Tensor(Value):
                         raise DomainError("generator index %r is not an int" % (idx,))
                     if not 1 <= idx <= 2 * g:
                         raise DomainError("generator index %r out of range" % (idx,))
-                c = Fraction(coeff)
+                c = _exact(coeff)
                 if c and len(word) <= trunc:
                     clean[tuple(word)] = c
         den = lcm(*(c.denominator for c in clean.values()))
@@ -138,9 +139,6 @@ class Tensor(Value):
     def is_zero(self):
         return not self.num
 
-    def constant_term(self):
-        return Fraction(self.num.get((), 0), self.den)
-
     def __hash__(self):
         return hash((self.g, self.trunc, self.den, frozenset(self.num.items())))
 
@@ -166,18 +164,10 @@ class Tensor(Value):
         return combination(self.g, self.trunc, ((1, self), (-1, other)))
 
     def scale(self, scalar):
-        s = Fraction(scalar)
+        s = _exact(scalar)
         p = s.numerator
         num = {w: c * p for w, c in self.num.items()} if p else {}
         return _tensor(self.g, self.trunc, num, self.den * s.denominator)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return product(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        return self.scale(other)
 
 
 def _store(t, g, trunc, num, den):
@@ -208,12 +198,20 @@ def _tensor(g, trunc, num, den=1):
     return _store(object.__new__(Tensor), g, trunc, num, den)
 
 
+def _exact(c):
+    """The coefficient c as a Fraction; DomainError if c is a float, which is not exact."""
+    if isinstance(c, float):
+        raise DomainError("coefficient %r is a float, not exact" % (c,))
+    return Fraction(c)
+
+
 def _check_shape(g, trunc):
-    """Raise DomainError unless the genus and the truncation degree are >= 1."""
-    if g < 1:
-        raise DomainError("genus must be >= 1")
-    if trunc < 1:
-        raise DomainError("truncation degree must be >= 1")
+    """Raise DomainError unless the genus and the truncation degree are ints >= 1."""
+    for name, n in (("genus", g), ("truncation degree", trunc)):
+        if type(n) is not int:
+            raise DomainError("%s %r is not an int" % (name, n))
+        if n < 1:
+            raise DomainError("%s must be >= 1" % name)
 
 
 def _check_compatible(g, trunc, t):

@@ -1,14 +1,16 @@
 """Cross-check routes that only the tests take, no twistcalc command: the
 symplectic form omega, Morita's twist formula with dbar_prime and psi's spine
-pairs, the mod-3 map kappa, and the low-degree part of a tensor."""
+pairs, the mod-3 map kappa, the low-degree part of a tensor, and theta at a
+truncation below the expansion's."""
 
 from fractions import Fraction
 from itertools import chain, combinations
 
 from twistcalc import tensor as T
 from twistcalc.diagrams import tree_sum
+from twistcalc.expansion import _theta
 from twistcalc.psi_data import GENUS
-from twistcalc.surface import barcode_homology
+from twistcalc.surface import barcode_homology, validate_barcode
 
 
 def omega(u, v):
@@ -65,17 +67,19 @@ def morita_tau2(pairs):
     return tree_sum(chain(odots, trees))
 
 
-def spine_pairs(twist):
-    """Normalized homology pairs of a twist's spine, for the Morita formula."""
+def spine_pairs(row):
+    """Normalized homology pairs of the spine of a (name, exponent, spine) row
+    of psi_data.PSI, for the Morita formula."""
+    name, _, spine = row
     pairs = []
-    for a_bc, b_bc in twist.spine:
+    for a_bc, b_bc in spine:
         u = barcode_homology(a_bc, GENUS)
         v = barcode_homology(b_bc, GENUS)
         w = omega(u, v)
         if w == -1:
             u, v = v, u
         elif w != 1:
-            raise T.DomainError("spine pair of %s is not unimodular" % twist.name)
+            raise T.DomainError("spine pair of %s is not unimodular" % name)
         pairs.append((u, v))
     return pairs
 
@@ -133,3 +137,9 @@ def kappa(d):
             else:
                 out[key] = total
     return out
+
+
+def theta_at(exp, bc, n):
+    """theta of a barcode at truncation n, 1 <= n <= exp.trunc, through
+    _theta, the evaluation that the L_k fold runs at degree k - 2."""
+    return T._tensor(exp.g, n, *_theta(exp, validate_barcode(bc, exp.g), n))

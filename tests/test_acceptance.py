@@ -107,8 +107,8 @@ def test_criterion_7_casson_numbers(exp, psi):
 
 def test_criterion_8_per_twist_consistency(exp):
     t0 = time.perf_counter()
-    for tw in P.load_psi():
-        form = morita_tau2(spine_pairs(tw))
+    for row, tw in zip(P.PSI, P.psi_twist_entries()):
+        form = morita_tau2(spine_pairs(row))
         assert dbar_prime(form) == tw.genus * (2 * tw.genus + 1)
         assert eta(form, N) == L_k(exp, tw.barcode, 4)
     report("8 per-twist Morita consistency", t0)
@@ -225,7 +225,7 @@ def test_criterion_10g_symplectic_annihilation(exp):
         target = target + bracket(
             Tensor.generator(G, N, i), Tensor.generator(G, N, G + i)
         )
-    for tw in P.load_psi():
+    for tw in P.psi_twist_entries():
         for k in (4, 5):
             assert apply_derivation(L_k(exp, tw.barcode, k), target).is_zero()
     assert time.perf_counter() - t0 < 60.0

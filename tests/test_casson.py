@@ -13,7 +13,7 @@ from twistcalc.casson import (
 )
 from twistcalc.diagrams import odot, tree
 from twistcalc.johnson import TwistEntry, twist_sum
-from twistcalc.psi_data import load_psi, psi_twist_entries
+from twistcalc.psi_data import PSI, psi_twist_entries
 from twistcalc.surface import HVector, commutator_barcode
 from twistcalc.tensor import DomainError
 
@@ -92,8 +92,8 @@ def test_dbar_prime_kills_ihx():
 
 
 def test_dbar_prime_per_dataset_twist():
-    for tw in load_psi():
-        value = dbar_prime(morita_tau2(spine_pairs(tw)))
+    for row, tw in zip(PSI, psi_twist_entries()):
+        value = dbar_prime(morita_tau2(spine_pairs(row)))
         assert value == tw.genus * (2 * tw.genus + 1)
 
 
@@ -132,21 +132,21 @@ def test_audit_of_psi(exp_g2):
     assert report.lambda_value == 1
 
 
-def test_audit_single_twists():
-    r1 = twist_audit([GENUS1])
+def test_audit_single_twists(exp_g2):
+    r1 = twist_audit([GENUS1], tau2(exp_g2, [GENUS1]))
     assert (r1.n_genus1, r1.n_genus2) == (1, 0)
-    r2 = twist_audit([GENUS2])
+    r2 = twist_audit([GENUS2], tau2(exp_g2, [GENUS2]))
     assert (r2.n_genus1, r2.n_genus2) == (0, 1)
 
 
-def test_audit_matches_direct_counts():
+def test_audit_matches_direct_counts(exp_g2):
     rng = rng_for("audit")
     for _ in range(20):
         entries = [
             TwistEntry(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2]), S1)
             for _ in range(rng.randint(1, 6))
         ]
-        report = twist_audit(entries)
+        report = twist_audit(entries, tau2(exp_g2, entries))
         n1 = sum(e.coeff for e in entries if e.genus == 1)
         n2 = sum(e.coeff for e in entries if e.genus == 2)
         assert report.n_genus1 == n1
@@ -159,13 +159,16 @@ def test_audit_omits_lambda_without_certificate(exp_g2):
     assert "lambda" not in report.render()
 
 
-def test_report_render():
-    report = twist_audit(psi_twist_entries())
-    assert report.render() == "d -24\nd_prime 0\nn_genus1 10\nn_genus2 -3"
+def test_report_render(exp_g2):
+    psi = psi_twist_entries()
+    report = twist_audit(psi, tau2(exp_g2, psi))
+    assert report.render() == "d -24\nd_prime 0\nn_genus1 10\nn_genus2 -3\nlambda 1"
 
 
-def test_report_render_prints_rational_d_and_d_prime_exactly():
-    half_genus1 = twist_audit([TwistEntry(Fraction(1, 2), 1, (1, -2, -1, 2))])
+def test_report_render_prints_rational_d_and_d_prime_exactly(exp_g2):
+    half = [TwistEntry(Fraction(1, 2), 1, (1, -2, -1, 2))]
+    half_genus1 = twist_audit(half, tau2(exp_g2, half))
     assert half_genus1.render() == "d 0\nd_prime 3/2\nn_genus1 1/2\nn_genus2 0"
-    third_genus2 = twist_audit([TwistEntry(Fraction(-1, 3), 2, GAMMA2)])
+    third = [TwistEntry(Fraction(-1, 3), 2, GAMMA2)]
+    third_genus2 = twist_audit(third, tau2(exp_g2, third))
     assert third_genus2.render() == "d -8/3\nd_prime -10/3\nn_genus1 0\nn_genus2 -1/3"

@@ -420,9 +420,12 @@ GOLDEN_COMMANDS = [
 def golden_runs(tmp):
     """[argv, exit code, stdout] of each golden command; {psi} is the exported
     psi file, {two} a file of two twists and {g3} one of three genus-3 twists,
-    all written under tmp."""
+    all written under tmp.  The last run is export-psi itself, with the text
+    of the file it writes in place of its empty stdout."""
     paths = {name: os.path.join(tmp, name + ".txt") for name in ("psi", "two", "g3")}
-    assert run_cli("export-psi", "--out", paths["psi"])[0] == EXIT_OK
+    export = ["export-psi", "--out", "{psi}"]
+    code, out, _ = run_cli(*(a.format(**paths) for a in export))
+    assert (code, out) == (EXIT_OK, "")
     for name, text in (("two", TWO_TWISTS), ("g3", G3_TWISTS)):
         with open(paths[name], "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -430,6 +433,8 @@ def golden_runs(tmp):
     for argv in GOLDEN_COMMANDS:
         code, out, _ = run_cli(*(a.format(**paths) for a in argv))
         runs.append([argv, code, out])
+    with open(paths["psi"], "rb") as fh:
+        runs.append([export, EXIT_OK, fh.read().decode("utf-8")])
     return runs
 
 

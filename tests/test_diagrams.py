@@ -108,6 +108,9 @@ def test_eta_uses_the_given_genus():
         (0, 2, "truncation degree must be >= 1"),
         (5, 0, "genus must be >= 1"),
         (5, -3, "genus must be >= 1"),
+        (5.5, 2, "truncation degree 5.5 is not an int"),
+        (5, True, "genus True is not an int"),
+        (5, 2.0, "genus 2.0 is not an int"),
     ],
 )
 def test_eta_rejects_what_a_tensor_rejects(trunc, g, message):
@@ -170,7 +173,7 @@ def test_eta_is_the_sum_of_cyclicized_readings(g):
                 for _ in range(rng.choice([2, 3, 4, 5]))
             ]
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
-            d = d + c * (odot(*labels) if len(labels) == 2 else tree(*labels))
+            d = d + (odot(*labels) if len(labels) == 2 else tree(*labels)).scale(c)
             for w, v in cyclicize(module_reading(labels, g)).terms.items():
                 terms[w] = terms.get(w, 0) + c * v
         assert eta(d, N, g) == Tensor(g, N, terms)
@@ -382,6 +385,8 @@ def test_diagram_sum_adds_only_diagram_sums():
             d + other
         with pytest.raises(TypeError):
             d - other
+        with pytest.raises(TypeError):
+            other * d  # scale is the one spelling of a scalar multiple
     with pytest.raises(TypeError):
         sum([d, d])  # no start: 0 + d
     assert sum([d, tree(A1, B1, B2), d], DiagramSum()) == d.scale(2) + tree(A1, B1, B2)

@@ -5,7 +5,7 @@ import pytest
 
 from twistcalc.expansion import log_theta
 from twistcalc.johnson import L_k
-from twistcalc.psi_data import load_psi, psi_twist_entries
+from twistcalc.psi_data import PSI, psi_twist_entries
 from twistcalc.tensor import extract
 
 # The simpler alternative barcode for the t7 curve (same free-group element
@@ -16,21 +16,21 @@ EXPECTED_COEFFS = (-3, -1, -1, 2, 2, 1, -1, -1, 1, -1, 1, -1, -1, 1, 7, 2)
 
 
 def test_entry_count():
-    assert len(load_psi()) == 16
+    assert len(PSI) == len(psi_twist_entries()) == 16
 
 
 def test_coefficients():
-    assert tuple(t.coeff for t in load_psi()) == EXPECTED_COEFFS
+    assert tuple(t.coeff for t in psi_twist_entries()) == EXPECTED_COEFFS
 
 
 def test_genera():
-    genera = [t.genus for t in load_psi()]
+    genera = [t.genus for t in psi_twist_entries()]
     assert genera[0] == 2
     assert all(h == 1 for h in genera[1:])
 
 
 def test_signed_genus_counts():
-    twists = load_psi()
+    twists = psi_twist_entries()
     assert sum(t.coeff for t in twists if t.genus == 1) == 10
     assert sum(t.coeff for t in twists if t.genus == 2) == -3
 
@@ -72,34 +72,36 @@ GOLDEN = {
 }
 
 
+def by_name():
+    """{name: TwistEntry} of psi's twists."""
+    return {row[0]: tw for row, tw in zip(PSI, psi_twist_entries())}
+
+
 @pytest.mark.parametrize("name", list(GOLDEN))
 def test_twist_barcode(name):
-    tw = next(t for t in load_psi() if t.name == name)
+    tw = by_name()[name]
     coeff, genus, barcode = GOLDEN[name]
     assert tw.barcode == barcode
     assert tw.coeff == coeff
-    assert tw.genus == genus == len(tw.spine)
+    assert tw.genus == genus
 
 
 def test_all_barcodes_null_homologous(exp_g2):
-    for tw in load_psi():
+    for tw in psi_twist_entries():
         assert extract(log_theta(exp_g2, tw.barcode), 1).is_zero()
 
 
 def test_t7_alternative_barcode_same_L_values(exp_g2):
-    t7 = next(t for t in load_psi() if t.name == "t7")
+    t7 = by_name()["t7"]
     for k in (4, 5):
         assert L_k(exp_g2, T7_ALTERNATIVE_BARCODE, k) == L_k(exp_g2, t7.barcode, k)
 
 
 def test_twist_entries_match_dataset():
-    entries = psi_twist_entries()
-    for entry, tw in zip(entries, load_psi()):
-        assert (entry.coeff, entry.genus, entry.barcode) == (
-            tw.coeff,
-            tw.genus,
-            tw.barcode,
-        )
+    # Row order is entry order; the genus is the number of spine pairs.
+    assert list(GOLDEN) == [row[0] for row in PSI]
+    for (name, coeff, spine), entry in zip(PSI, psi_twist_entries()):
+        assert (entry.coeff, entry.genus) == (coeff, len(spine)) == GOLDEN[name][:2]
 
 
 def _kernel(columns):
@@ -133,7 +135,7 @@ def _kernel(columns):
 def test_coefficients_span_the_L4_kernel(exp_g2):
     # tau2(psi) = 0 determines psi's coefficient column: the per-twist L_4
     # tensors have a one-dimensional linear relation, the published one.
-    twists = load_psi()
+    twists = psi_twist_entries()
     columns = []
     for tw in twists:
         t = L_k(exp_g2, tw.barcode, 4)

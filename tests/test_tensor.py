@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 from itertools import product as word_product
@@ -113,18 +114,39 @@ def test_constructor_checks_the_indices_of_every_word():
     for terms in ({(1.0,): 1}, {(True, 2): 1}, {"ab": 1}):
         with pytest.raises(DomainError, match="^generator index .+ is not an int$"):
             Tensor(G, 1, terms)
+    # The genus and the truncation are ints too, and no bools.
+    shapes = ((True, N, "genus True"), (2.0, N, "genus 2.0"), (G, 5.5, "truncation degree 5.5"))
+    for g, trunc, name in shapes:
+        with pytest.raises(DomainError, match="^%s is not an int$" % re.escape(name)):
+            Tensor(g, trunc, {(A1,): 1})
+    # Coefficients are exact: a float, even 0.0, is refused by the
+    # constructor and by scale; a string such as "1/7" is read exactly.
+    for c in (0.1, 0.5, 0.0):
+        with pytest.raises(DomainError, match="^coefficient .+ is a float, not exact$"):
+            Tensor(G, 1, {(A1,): c})
+        with pytest.raises(DomainError, match="^coefficient .+ is a float, not exact$"):
+            gen(A1).scale(c)
+    assert Tensor(G, 1, {(A1,): "1/7"}).terms == {(A1,): Fraction(1, 7)}
 
 
 # -- product -------------------------------------------------------------
 
 
 def test_product_single_words():
-    assert gen(A1) * gen(B1) == words({(A1, B1): 1})
+    assert product(gen(A1), gen(B1)) == words({(A1, B1): 1})
+
+
+def test_star_is_neither_product_nor_scale():
+    # product and scale are the one spelling of each.
+    t, u = gen(A1), gen(B1)
+    for make in (lambda: 2 * t, lambda: t * 2, lambda: t * u):
+        with pytest.raises(TypeError):
+            make()
 
 
 def test_product_distributes():
     one = Tensor.one(G, N)
-    lhs = (one + gen(A1)) * (one - gen(A1))
+    lhs = product(one + gen(A1), one - gen(A1))
     assert lhs == one - words({(A1, A1): 1})
 
 
@@ -217,7 +239,7 @@ def test_cyclicize_commutes_with_extract():
     rng = rng_for("cyc-extract")
     for _ in range(10):
         x = random_tensor(rng, max_deg=4, nterms=5)
-        x = x - words({(): x.constant_term()})
+        x = x - extract(x, 0)
         for k in range(1, N + 1):
             assert cyclicize(extract(x, k)) == extract(cyclicize(x), k)
 
@@ -267,7 +289,7 @@ def test_exp_log_mutually_inverse(trunc):
     rng = rng_for("explog-%d" % trunc)
     for _ in range(10):
         x = random_tensor(rng, trunc=trunc, max_deg=min(2, trunc))
-        x = x - words({(): x.constant_term()}, trunc=trunc)
+        x = x - extract(x, 0)
         assert log_series(exp_series(x)) == x
         y = Tensor.one(G, trunc) + x
         assert exp_series(log_series(y)) == y

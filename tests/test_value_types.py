@@ -16,7 +16,6 @@ import twistcalc
 from twistcalc.casson import CassonReport
 from twistcalc.diagrams import DiagramSum, odot, tree, tree_sum
 from twistcalc.johnson import TwistEntry
-from twistcalc.psi_data import PsiTwist
 from twistcalc.surface import BarcodeError, HVector
 from twistcalc.tensor import DomainError, Tensor, Value
 
@@ -39,12 +38,6 @@ CASES = [
         REPORT_FIELDS,
         "CassonReport(d_value=-24, d_prime_value=0, n_genus1=Fraction(10, 1), "
         "n_genus2=Fraction(-3, 1), lambda_value=Fraction(1, 1))",
-    ),
-    (
-        PsiTwist,
-        ("name", "coeff", "spine"),
-        ("s1", 7, (((1,), (-2,)),)),
-        "PsiTwist(name='s1', coeff=7, spine=(((1,), (-2,)),))",
     ),
 ]
 IDS = [case[0].__name__ for case in CASES]
@@ -188,6 +181,15 @@ def test_tree_diagram_validation():
         DiagramSum({"junk": 1})
     with pytest.raises(DomainError, match="^trees carry 3, 4 or 5 leaves$"):
         DiagramSum({(A1, B1): 0})
+    # Coefficients are exact: every entry point refuses a float.
+    for make in (
+        lambda: DiagramSum({(A1, B1, A1): 0.1}),
+        lambda: tree_sum([(0.1, (A1, B1, A1))]),
+        lambda: tree(A1, B1, A1).scale(0.5),
+    ):
+        with pytest.raises(DomainError, match="^coefficient .+ is a float, not exact$"):
+            make()
+    assert DiagramSum({(A1, B1, A1): "1/7"}).items == {(A1, B1, A1): Fraction(1, 7)}
 
 
 def test_every_value_type_has_a_contract_row():
@@ -207,10 +209,3 @@ def test_casson_report_lambda_defaults_to_none():
     assert report.lambda_value is None
     assert report == CassonReport(*REPORT_FIELDS[:4], lambda_value=None)
     assert "lambda" not in report.render()
-
-
-def test_psi_twist_reads_genus_and_barcode_from_its_spine():
-    twist = PsiTwist("s1", 7, (((1,), (-2,)),))
-    assert twist.genus == 1
-    assert twist.barcode == (1, -2, -1, 2)
-    assert twist.entry() == TwistEntry(7, 1, (1, -2, -1, 2))
