@@ -16,7 +16,7 @@ class CassonReport(T.Value):
 
     __slots__ = ("d_value", "d_prime_value", "n_genus1", "n_genus2", "lambda_value")
 
-    def __init__(self, d_value, d_prime_value, n_genus1, n_genus2, lambda_value=None):
+    def __init__(self, d_value, d_prime_value, n_genus1, n_genus2, lambda_value):
         object.__setattr__(self, "d_value", d_value)
         object.__setattr__(self, "d_prime_value", d_prime_value)
         object.__setattr__(self, "n_genus1", n_genus1)
@@ -45,21 +45,13 @@ def d_prime(twists):
     return sum(e.coeff * e.genus * (2 * e.genus + 1) for e in twists)
 
 
-class CertificateError(ValueError):
-    """Raised when a J_3 certificate (tau_2 = 0) is required but fails."""
-
-    def __init__(self, tau2_value):
-        self.tau2_value = tau2_value
-        super().__init__("tau_2 of the twist list is nonzero: %s" % T.render(tau2_value))
-
-
 def lambda_J3(t2, twists):
     """The Casson homomorphism -d/24 on a twist list whose tau_2 is ``t2``.
 
-    Raises CertificateError unless ``t2`` vanishes (the J_3 certificate).
+    Raises DomainError unless ``t2`` vanishes (the J_3 certificate).
     """
     if not t2.is_zero():
-        raise CertificateError(t2)
+        raise T.DomainError("tau_2 of the twist list is nonzero: %s" % T.render(t2))
     return Fraction(-d_core(twists), 24)
 
 

@@ -195,6 +195,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.genus < 1:
         parser.error("--genus must be >= 1")
+    if args.func in (cmd_export_psi, cmd_verify_psi) and args.genus != P.GENUS:
+        parser.error("%s takes only --genus %d, the genus of psi" % (args.command, P.GENUS))
     try:
         return args.func(args)
     except OSError as e:

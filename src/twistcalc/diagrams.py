@@ -74,13 +74,13 @@ class DiagramSum(T.Value):
 
 
 def tree_sum(terms):
-    """The DiagramSum sum c T(labels) over (c, labels) pairs, each c an int or a
-    Fraction, accumulated in one dict: a tree is hashed a fixed number of times,
+    """The DiagramSum sum c T(labels) over (c, labels) pairs, each c read as by
+    DiagramSum, accumulated in one dict: a tree is hashed a fixed number of times,
     not once per partial sum as in a sum of DiagramSums."""
     items = {}
     for c, labels in terms:
         labels = tuple(labels)
-        items[labels] = items.get(labels, 0) + c
+        items[labels] = items.get(labels, 0) + T._exact(c)
     return DiagramSum(items)
 
 
@@ -124,9 +124,9 @@ def eta(d, trunc=5, g=None):
     """Expand a DiagramSum into the tensor algebra over genus g.
 
     With g None the genus is read from the labels of the first tree.  Raises
-    DegreeMismatchError when a tree's labels have another genus, and
-    DomainError when g or trunc is below 1, as for any Tensor, or when trunc
-    is below a tree's degree + 2, its reading's degree.
+    DomainError when a tree's labels have another genus, when g or trunc is
+    below 1, as for any Tensor, or when trunc is below a tree's degree + 2,
+    its reading's degree.
     N is linear, so the readings are summed as ints over one den and cyclicized once.
     """
     if g is None:
@@ -140,7 +140,7 @@ def eta(d, trunc=5, g=None):
     for labels, c in d.items.items():
         h = len(labels[0]) // 2
         if h != g:
-            raise T.DegreeMismatchError("diagram labels have genus %d, not %d" % (h, g))
+            raise T.DomainError("diagram labels have genus %d, not %d" % (h, g))
         if len(labels) > trunc:
             raise T.DomainError(
                 "a degree-%d tree needs truncation >= %d" % (len(labels) - 2, len(labels))

@@ -10,7 +10,6 @@ A homogeneous tensor is itself a derivation, read as a Hom(H, .) map
 through the duality x -> omega(x, -).
 """
 
-from fractions import Fraction
 from math import gcd, lcm
 
 from . import tensor as T
@@ -19,14 +18,14 @@ from .surface import cyclic_reduce, validate_barcode
 
 
 class TwistEntry(T.Value):
-    """A signed Dehn twist along a bounding simple closed curve: a nonzero int or
-    Fraction exponent, an int genus in {1, 2} (neither a bool), a checked barcode."""
+    """A signed Dehn twist along a bounding simple closed curve: a nonzero int
+    exponent, an int genus in {1, 2} (neither a bool), a checked barcode."""
 
     __slots__ = ("coeff", "genus", "barcode")
 
     def __init__(self, coeff, genus, barcode):
-        if type(coeff) is not int and not isinstance(coeff, Fraction):
-            raise T.DomainError("twist exponent must be an int or a Fraction")
+        if type(coeff) is not int:
+            raise T.DomainError("twist exponent must be an int")
         if coeff == 0:
             raise T.DomainError("twist exponent must be nonzero")
         if type(genus) is not int or genus not in (1, 2):
@@ -37,13 +36,13 @@ class TwistEntry(T.Value):
 
 
 def _fold(exp, twists, k):
-    """[sum c L_j for j = 4..k] over (c, checked barcode) pairs, as in L_k:
+    """[sum c L_j for j = 4..k] over (int c, checked barcode) pairs, as in L_k:
     l = log theta on ints (theta - 1 for k <= 5), reduced by one gcd and
     bucketed by degree; each degree is summed in int dicts over one den, and
     N turns its nonzero entries.  As l_1 = theta_1, the barcode is
     null-homologous exactly when l has no degree-1 word.
     """
-    if not 4 <= k <= exp.trunc:
+    if type(k) is not int or not 4 <= k <= exp.trunc:
         raise T.DomainError("L_k needs 4 <= k <= truncation degree")
     n = k - 2
     logs = []
@@ -59,13 +58,13 @@ def _fold(exp, twists, k):
                 parts[len(w)].append((w, v // q))
         if parts[1]:
             raise T.DomainError("barcode is not null-homologous")
-        logs.append((c, c.denominator * (den // q) ** 2, parts))
+        logs.append((c, (den // q) ** 2, parts))
     den = lcm(*(d for _, d, _ in logs))
     sums = []
     for j in range(4, k + 1):
         cross, square = {}, {}
         for c, d, parts in logs:
-            f = c.numerator * (den // d)
+            f = c * (den // d)
             for i in range(2, j // 2 + 1):
                 acc = square if 2 * i == j else cross
                 for u, a in parts[i]:

@@ -19,10 +19,6 @@ from math import factorial, gcd, lcm
 from operator import attrgetter, sub
 
 
-class DegreeMismatchError(ValueError):
-    """Raised when combining tensors with different truncation degrees."""
-
-
 class DomainError(ValueError):
     """Raised when an operation's precondition on its input fails."""
 
@@ -90,8 +86,8 @@ class Tensor(Value):
 
     The constructor is the checked entry point for outside input: it checks
     that g, trunc and every generator index are ints (not bools), each index
-    in 1..2g, converts the coefficients to Fractions (a float raises
-    DomainError) and drops zero coefficients and overlong words, so callers
+    in 1..2g, converts the coefficients to Fractions (a float or a non-number
+    raises DomainError) and drops zero coefficients and overlong words, so callers
     pass raw accumulated sums.  The operations of the package build their
     results through the trusted ``_tensor`` instead.
     """
@@ -199,10 +195,14 @@ def _tensor(g, trunc, num, den=1):
 
 
 def _exact(c):
-    """The coefficient c as a Fraction; DomainError if c is a float, which is not exact."""
+    """The coefficient c as a Fraction; DomainError if c is a float, which is not
+    exact, or anything else Fraction does not read."""
     if isinstance(c, float):
         raise DomainError("coefficient %r is a float, not exact" % (c,))
-    return Fraction(c)
+    try:
+        return Fraction(c)
+    except (TypeError, ValueError, ArithmeticError):
+        raise DomainError("coefficient %r is not an exact number" % (c,)) from None
 
 
 def _check_shape(g, trunc):
@@ -215,11 +215,11 @@ def _check_shape(g, trunc):
 
 
 def _check_compatible(g, trunc, t):
-    """Raise DegreeMismatchError unless t has genus g and truncation trunc."""
+    """Raise DomainError unless t has genus g and truncation trunc."""
     if t.g != g:
-        raise DegreeMismatchError("tensors live over different genera")
+        raise DomainError("tensors live over different genera")
     if t.trunc != trunc:
-        raise DegreeMismatchError("truncation degrees differ: %d vs %d" % (trunc, t.trunc))
+        raise DomainError("truncation degrees differ: %d vs %d" % (trunc, t.trunc))
 
 
 def combination(g, trunc, terms):

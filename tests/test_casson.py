@@ -1,11 +1,10 @@
-from fractions import Fraction
+import re
 
 import pytest
 
 from conftest import rng_for
 from oracles import dbar_prime, morita_tau2, omega, spine_pairs
 from twistcalc.casson import (
-    CertificateError,
     d_core,
     d_prime,
     lambda_J3,
@@ -15,7 +14,7 @@ from twistcalc.diagrams import odot, tree
 from twistcalc.johnson import TwistEntry, twist_sum
 from twistcalc.psi_data import PSI, psi_twist_entries
 from twistcalc.surface import HVector, commutator_barcode
-from twistcalc.tensor import DomainError
+from twistcalc.tensor import DomainError, render
 
 G = 2
 A1 = HVector.basis(G, 1)
@@ -116,9 +115,10 @@ def test_lambda_additive(exp_g2):
 
 def test_lambda_requires_certificate(exp_g2):
     t2 = tau2(exp_g2, [GENUS1])
-    with pytest.raises(CertificateError) as err:
+    assert not t2.is_zero()
+    message = "^tau_2 of the twist list is nonzero: %s$" % re.escape(render(t2))
+    with pytest.raises(DomainError, match=message):
         lambda_J3(t2, [GENUS1])
-    assert err.value.tau2_value == t2
 
 
 # -- twist audit -------------------------------------------------------------
@@ -163,12 +163,3 @@ def test_report_render(exp_g2):
     psi = psi_twist_entries()
     report = twist_audit(psi, tau2(exp_g2, psi))
     assert report.render() == "d -24\nd_prime 0\nn_genus1 10\nn_genus2 -3\nlambda 1"
-
-
-def test_report_render_prints_rational_d_and_d_prime_exactly(exp_g2):
-    half = [TwistEntry(Fraction(1, 2), 1, (1, -2, -1, 2))]
-    half_genus1 = twist_audit(half, tau2(exp_g2, half))
-    assert half_genus1.render() == "d 0\nd_prime 3/2\nn_genus1 1/2\nn_genus2 0"
-    third = [TwistEntry(Fraction(-1, 3), 2, GAMMA2)]
-    third_genus2 = twist_audit(third, tau2(exp_g2, third))
-    assert third_genus2.render() == "d -8/3\nd_prime -10/3\nn_genus1 0\nn_genus2 -1/3"

@@ -97,6 +97,9 @@ def test_parse_reports_an_out_of_range_entry_before_a_later_zero():
 
 
 def test_parse_checks_each_barcode_once(monkeypatch):
+    # This counts only the calls through surface.validate_barcode, made by the
+    # homology check with g; TwistEntry's check without g goes through the
+    # name johnson imported and is not counted, so each barcode is checked twice.
     text = format_twist_file(psi_twist_entries())
     calls = []
 
@@ -121,6 +124,20 @@ def test_check_expansion_ok():
 def test_check_expansion_rejects_genus_zero():
     code, _, _ = run_cli("--genus", "0", "check-expansion")
     assert code == EXIT_USAGE
+
+
+@pytest.mark.parametrize("command", ["verify-psi", "export-psi"])
+def test_psi_commands_take_only_the_genus_of_psi(command, tmp_path):
+    # psi lives in genus 2: another --genus is a usage error, not a genus-2 run.
+    out_file = tmp_path / "psi.txt"
+    argv = [command] + (["--out", str(out_file)] if command == "export-psi" else [])
+    for genus in ("1", "3"):
+        code, out, err = run_cli("--genus", genus, *argv)
+        assert (code, out) == (EXIT_USAGE, "")
+        assert err.endswith("error: %s takes only --genus 2, the genus of psi\n" % command)
+        assert not out_file.exists()
+    code, _, _ = run_cli("--genus", "2", *argv)
+    assert code == EXIT_OK
 
 
 def test_export_psi_has_sixteen_records(psi_file):

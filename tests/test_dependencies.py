@@ -1,8 +1,11 @@
 """twistcalc has no runtime dependencies: its modules import only the stdlib,
 and start-up loads neither ``dataclasses`` nor what that module pulls in, nor
-``__future__``, which the package, having no annotations, does not need."""
+``__future__``, which the package, having no annotations, does not need.
+What src defines, src uses: each public definition, and each exception class
+in an except clause."""
 
 import ast
+import importlib
 import pathlib
 import re
 import subprocess
@@ -81,3 +84,30 @@ def test_every_public_definition_is_used_by_the_product():
             ):
                 unused.append("%s:%d %s" % (path.name, node.lineno, node.name))
     assert unused == []
+
+
+def test_every_exception_class_is_caught_by_the_product():
+    # A precondition fails with DomainError; another exception class earns its
+    # place only when some caller in src handles it apart, in an except clause.
+    src = sorted(SRC.glob("*.py"))
+    caught = set()
+    for path in src:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                for name in ast.walk(node.type):
+                    if isinstance(name, ast.Name):
+                        caught.add(name.id)
+                    elif isinstance(name, ast.Attribute):
+                        caught.add(name.attr)
+    uncaught = []
+    for path in src:
+        module = importlib.import_module(("twistcalc." + path.stem).replace(".__init__", ""))
+        for name, obj in vars(module).items():
+            if (
+                isinstance(obj, type)
+                and issubclass(obj, BaseException)
+                and obj.__module__ == module.__name__
+                and name not in caught
+            ):
+                uncaught.append("%s %s" % (path.name, name))
+    assert uncaught == []

@@ -10,7 +10,6 @@ from conftest import assert_canonical, random_barcode, rng_for
 from oracles import truncate
 from twistcalc.expansion import default_expansion, log_theta
 from twistcalc.tensor import (
-    DegreeMismatchError,
     DomainError,
     Tensor,
     _log,
@@ -127,6 +126,12 @@ def test_constructor_checks_the_indices_of_every_word():
         with pytest.raises(DomainError, match="^coefficient .+ is a float, not exact$"):
             gen(A1).scale(c)
     assert Tensor(G, 1, {(A1,): "1/7"}).terms == {(A1,): Fraction(1, 7)}
+    # Whatever Fraction does not read fails with the same DomainError.
+    for c in ("x", "1/0", None, object()):
+        with pytest.raises(DomainError, match="^coefficient .+ is not an exact number$"):
+            Tensor(G, 1, {(A1,): c})
+        with pytest.raises(DomainError, match="^coefficient .+ is not an exact number$"):
+            gen(A1).scale(c)
 
 
 # -- product -------------------------------------------------------------
@@ -157,7 +162,7 @@ def test_product_truncates():
 
 
 def test_product_trunc_mismatch():
-    with pytest.raises(DegreeMismatchError):
+    with pytest.raises(DomainError, match="^truncation degrees differ: 3 vs 4$"):
         product(gen(A1, trunc=3), gen(A1, trunc=4))
 
 
@@ -475,8 +480,11 @@ def test_kernel_matches_fraction_reference(g, trunc):
             assert_canonical(got)
             assert dict(got.terms) == ref_clean(want, trunc)
     assert combination(g, trunc, iter(())) == Tensor.zero(g, trunc)
-    for other in (Tensor.zero(g + 1, trunc), Tensor.zero(g, trunc + 1)):
-        with pytest.raises(DegreeMismatchError):
+    for other, message in (
+        (Tensor.zero(g + 1, trunc), "tensors live over different genera"),
+        (Tensor.zero(g, trunc + 1), "truncation degrees differ: %d vs %d" % (trunc, trunc + 1)),
+    ):
+        with pytest.raises(DomainError, match="^%s$" % message):
             combination(g, trunc, [(1, Tensor.one(g, trunc)), (0, other)])
 
 
