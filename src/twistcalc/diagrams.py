@@ -24,12 +24,14 @@ from .surface import HVector
 class DiagramSum(T.Value):
     """Finitely supported rational combination of trees, keyed by label tuples.
 
-    The constructor is the one check of a tree: each key, even one with a
-    zero coefficient, which it drops, holds 3, 4 or 5 HVectors of one even
-    length >= 2, and each coefficient is exact, not a float, else
-    DomainError.  ``==`` compares formal sums of labelled trees, without the
-    AS, IHX or multilinearity relations, so sums equal in the diagram space
-    may compare unequal; compare values through ``eta``.
+    The constructor takes a dict or an iterable of (labels, coefficient)
+    pairs, and sums the coefficients of repeated labels.  It is the one check
+    of a tree: each key, even one with a zero coefficient, which it drops,
+    holds 3, 4 or 5 HVectors of one even length >= 2, and each coefficient is
+    exact, not a float or a bool, else DomainError.  ``==`` compares formal
+    sums of labelled trees, without the AS, IHX or multilinearity relations,
+    so sums equal in the diagram space may compare unequal; compare values
+    through ``eta``.
     """
 
     __slots__ = ("items",)
@@ -37,7 +39,7 @@ class DiagramSum(T.Value):
 
     def __init__(self, items=()):
         clean = {}
-        for labels, coeff in dict(items).items():
+        for labels, coeff in items.items() if isinstance(items, dict) else items:
             if len(labels) not in (3, 4, 5):
                 raise T.DomainError("trees carry 3, 4 or 5 leaves")
             n = len(labels[0])
@@ -47,41 +49,21 @@ class DiagramSum(T.Value):
                 raise T.DomainError("genus must be >= 1")
             if not all(isinstance(v, HVector) for v in labels):
                 raise T.DomainError("leaf labels must be HVectors")
-            c = T._exact(coeff)
-            if c != 0:
-                clean[labels] = c
-        object.__setattr__(self, "items", clean)
+            clean[labels] = clean.get(labels, 0) + T._exact(coeff)
+        object.__setattr__(self, "items", {k: c for k, c in clean.items() if c})
 
     def __add__(self, other):
         if not isinstance(other, DiagramSum):
             return NotImplemented
-        items = dict(self.items)
-        for node, coeff in other.items.items():
-            items[node] = items.get(node, 0) + coeff
-        return DiagramSum(items)
-
-    def __neg__(self):
-        return DiagramSum({n: -c for n, c in self.items.items()})
-
-    def __sub__(self, other):
-        if not isinstance(other, DiagramSum):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, scalar):
-        s = T._exact(scalar)
-        return DiagramSum({n: c * s for n, c in self.items.items()} if s else {})
+        return DiagramSum([*self.items.items(), *other.items.items()])
 
 
 def tree_sum(terms):
     """The DiagramSum sum c T(labels) over (c, labels) pairs, each c read as by
-    DiagramSum, accumulated in one dict: a tree is hashed a fixed number of times,
-    not once per partial sum as in a sum of DiagramSums."""
-    items = {}
-    for c, labels in terms:
-        labels = tuple(labels)
-        items[labels] = items.get(labels, 0) + T._exact(c)
-    return DiagramSum(items)
+    DiagramSum: the pairs go to its constructor, which sums repeated trees in
+    one dict, so a tree is hashed a fixed number of times, not once per
+    partial sum as in a sum of DiagramSums."""
+    return DiagramSum((tuple(labels), c) for c, labels in terms)
 
 
 def tree(*labels):

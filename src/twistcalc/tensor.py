@@ -86,10 +86,10 @@ class Tensor(Value):
 
     The constructor is the checked entry point for outside input: it checks
     that g, trunc and every generator index are ints (not bools), each index
-    in 1..2g, converts the coefficients to Fractions (a float or a non-number
-    raises DomainError) and drops zero coefficients and overlong words, so callers
-    pass raw accumulated sums.  The operations of the package build their
-    results through the trusted ``_tensor`` instead.
+    in 1..2g, converts the coefficients to Fractions (a float, a bool or a
+    non-number raises DomainError) and drops zero coefficients and overlong
+    words, so callers pass raw accumulated sums.  The operations of the
+    package build their results through the trusted ``_tensor`` instead.
     """
 
     __slots__ = ("g", "trunc", "num", "den")
@@ -121,10 +121,6 @@ class Tensor(Value):
     @classmethod
     def zero(cls, g, trunc):
         return cls(g, trunc)
-
-    @classmethod
-    def one(cls, g, trunc):
-        return cls(g, trunc, {(): 1})
 
     @classmethod
     def generator(cls, g, trunc, idx):
@@ -159,12 +155,6 @@ class Tensor(Value):
             return NotImplemented
         return combination(self.g, self.trunc, ((1, self), (-1, other)))
 
-    def scale(self, scalar):
-        s = _exact(scalar)
-        p = s.numerator
-        num = {w: c * p for w, c in self.num.items()} if p else {}
-        return _tensor(self.g, self.trunc, num, self.den * s.denominator)
-
 
 def _store(t, g, trunc, num, den):
     """Fill the slots of t with num/den brought to canonical form."""
@@ -196,13 +186,15 @@ def _tensor(g, trunc, num, den=1):
 
 def _exact(c):
     """The coefficient c as a Fraction; DomainError if c is a float, which is not
-    exact, or anything else Fraction does not read."""
+    exact, a bool, which is not a number, or anything else Fraction does not read."""
     if isinstance(c, float):
         raise DomainError("coefficient %r is a float, not exact" % (c,))
-    try:
-        return Fraction(c)
-    except (TypeError, ValueError, ArithmeticError):
-        raise DomainError("coefficient %r is not an exact number" % (c,)) from None
+    if not isinstance(c, bool):
+        try:
+            return Fraction(c)
+        except (TypeError, ValueError, ArithmeticError):
+            pass
+    raise DomainError("coefficient %r is not an exact number" % (c,))
 
 
 def _check_shape(g, trunc):

@@ -1,5 +1,6 @@
 import random
 import sys
+from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -8,7 +9,7 @@ sys.dont_write_bytecode = True  # before twistcalc is imported, so no .pyc lands
 
 from twistcalc.expansion import SymplecticExpansion, default_expansion
 from twistcalc.surface import commutator_barcode
-from twistcalc.tensor import Tensor, bracket
+from twistcalc.tensor import Tensor, bracket, combination
 
 
 @pytest.fixture(scope="session")
@@ -51,6 +52,8 @@ def custom_expansion(g, trunc=5):
     log_alpha, log_beta = [], []
     for i in range(g):
         ab = bracket(a[i], b[i])
-        log_alpha.append(a[i] + ab.scale("1/7") + bracket(ab, b[i]).scale("2/5"))
-        log_beta.append(b[i] - ab.scale("3/7") + bracket(a[i], ab).scale("1/5"))
+        alpha = [(1, a[i]), (Fraction(1, 7), ab), (Fraction(2, 5), bracket(ab, b[i]))]
+        beta = [(1, b[i]), (Fraction(-3, 7), ab), (Fraction(1, 5), bracket(a[i], ab))]
+        log_alpha.append(combination(g, trunc, alpha))
+        log_beta.append(combination(g, trunc, beta))
     return SymplecticExpansion(g, trunc, log_alpha, log_beta)

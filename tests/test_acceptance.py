@@ -12,13 +12,14 @@ from conftest import random_barcode, random_null_homologous_barcode, rng_for
 from oracles import dbar_prime, kappa, morita_tau2, spine_pairs
 from twistcalc import psi_data as P
 from twistcalc.casson import lambda_J3, twist_audit
-from twistcalc.diagrams import eta, odot, tree
+from twistcalc.diagrams import eta, odot, tree_sum
 from twistcalc.expansion import default_expansion, log_theta, symplectic_defect, theta
 from twistcalc.johnson import L_k, apply_derivation, twist_sum
 from twistcalc.surface import HVector, free_reduce, inverse_barcode
 from twistcalc.tensor import (
     Tensor,
     bracket,
+    combination,
     cyclicize,
     dynkin_defect,
     exp_series,
@@ -124,8 +125,9 @@ def test_criterion_9_kappa_checks():
         a, b, c, d = (
             HVector(rng.randint(-2, 2) for _ in range(2 * G)) for _ in range(4)
         )
-        assert kappa(tree(a, b, c, d) - tree(a, c, b, d) - tree(a, d, c, b)) == {}
-    assert kappa(P.identity_rhs() - P.identity_lhs()) == {}
+        ihx = tree_sum([(1, (a, b, c, d)), (-1, (a, c, b, d)), (-1, (a, d, c, b))])
+        assert kappa(ihx) == {}
+    assert kappa(P.identity_rhs()) == kappa(P.identity_lhs())  # kappa is linear
     report("9 kappa checks over Z3", t0)
 
 
@@ -155,7 +157,7 @@ def test_criterion_10b_cyclicize_orbit():
         p = rng.randint(1, N)
         w = tuple(rng.randint(1, 2 * G) for _ in range(p))
         x = Tensor(G, N, {w: 1})
-        assert cyclicize(cyclicize(x)) == cyclicize(x).scale(p)
+        assert cyclicize(cyclicize(x)) == combination(G, N, [(p, cyclicize(x))])
     assert time.perf_counter() - t0 < 60.0
     report("10b cyclicize orbit identity", t0)
 

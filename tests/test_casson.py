@@ -10,7 +10,7 @@ from twistcalc.casson import (
     lambda_J3,
     twist_audit,
 )
-from twistcalc.diagrams import odot, tree
+from twistcalc.diagrams import odot, tree, tree_sum
 from twistcalc.johnson import TwistEntry, twist_sum
 from twistcalc.psi_data import PSI, psi_twist_entries
 from twistcalc.surface import HVector, commutator_barcode
@@ -86,7 +86,7 @@ def test_dbar_prime_kills_ihx():
         a, b, c, d = (
             HVector(rng.randint(-2, 2) for _ in range(2 * G)) for _ in range(4)
         )
-        combo = tree(a, b, c, d) - tree(a, c, b, d) - tree(a, d, c, b)
+        combo = tree_sum([(1, (a, b, c, d)), (-1, (a, c, b, d)), (-1, (a, d, c, b))])
         assert dbar_prime(combo) == 0
 
 

@@ -2,16 +2,30 @@
 and start-up loads neither ``dataclasses`` nor what that module pulls in, nor
 ``__future__``, which the package, having no annotations, does not need.
 What src defines, src uses: each public definition, and each exception class
-in an except clause."""
+in an except clause.  And what src defines, a command or a benchmark workload
+runs: the execution census finds each def in src that neither the golden CLI
+runs nor a tiny pass of each perfbench workload reaches, and fails unless a
+tracer layer or a reason in ``CLAIMS`` claims it.
+
+Run as a script, it prints the census:
+
+    PYTHONPATH=src python -B tests/test_dependencies.py
+"""
 
 import ast
 import importlib
+import importlib.util
 import pathlib
 import re
 import subprocess
 import sys
+import tempfile
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "twistcalc"
+from test_cli import golden_runs
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "twistcalc"
+BENCH = ROOT / "perfbench"
 SLOW_IMPORTS = ("dataclasses", "__future__")
 
 
@@ -69,9 +83,8 @@ def test_every_public_definition_is_used_by_the_product():
     # __init__) or by perfbench, as an identifier, or as a word in a string
     # of another module (perfbench's tracer names its layers in strings).
     # A module's own prose about a definition is not a use.
-    bench = SRC.parent.parent / "perfbench"
     src = sorted(SRC.glob("*.py"))
-    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in src + sorted(bench.glob("*.py"))}
+    trees = {p: ast.parse(p.read_text(encoding="utf-8")) for p in src + sorted(BENCH.glob("*.py"))}
     names = {p: _names(tree) for p, tree in trees.items() if p.name != "__init__.py"}
     unused = []
     for path in src:
@@ -111,3 +124,138 @@ def test_every_exception_class_is_caught_by_the_product():
             ):
                 uncaught.append("%s %s" % (path.name, name))
     assert uncaught == []
+
+
+# Defs in src that no golden CLI run and no workload reaches, keyed by the
+# reason that keeps them: the value-type contract, or an open ROADMAP item
+# ("ROADMAP item N") that needs them.  A name claims every def it names.  An
+# entry goes when its reason does: one that a run reaches, or that names no
+# def, fails the census.
+CLAIMS = {
+    "value-type contract, pinned by tests/test_value_types.py": (
+        "surface.HVector.__repr__",
+        "tensor.Tensor.__hash__",
+        "tensor.Tensor.__reduce__",
+        "tensor.Tensor.__repr__",
+        "tensor.Value.__init_subclass__.__hash__",
+        "tensor.Value.__init_subclass__.key",
+        "tensor.Value.__reduce__",
+        "tensor.Value.__repr__",
+        "tensor.Value.__setattr__",
+    ),
+}
+
+
+def _perfbench(name):
+    """The module perfbench/<name>.py, loaded from its file."""
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, BENCH / (name + ".py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _defs():
+    """{(path, first line): "module.qualname"} of every def in src.  A
+    decorated def starts at its first decorator, as its code object does;
+    lambdas and comprehensions are not defs."""
+    defs = {}
+
+    def visit(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                if isinstance(child, ast.FunctionDef):
+                    line = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                    defs[(path, line)] = name
+                visit(child, path, name + ".")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), str(path), path.stem + ".")
+    return defs
+
+
+def _product_runs(tmp):
+    """The golden CLI runs, then a tiny pass of each perfbench workload as the
+    benchmark makes one: a fresh import of twistcalc, the set-up, each item's
+    run, and its checks, which must pass.  The modules imported before are
+    put back in sys.modules afterwards."""
+    golden_runs(tmp)
+    workloads = _perfbench("workloads")
+    before = {n: m for n, m in sys.modules.items() if n.split(".")[0] == "twistcalc"}
+    for name in before:
+        del sys.modules[name]
+    try:
+        tc = {
+            p.stem: importlib.import_module("twistcalc." + p.stem)
+            for p in SRC.glob("*.py")
+            if p.stem != "__init__"
+        }
+        for workload in workloads.WORKLOADS.values():
+            exp = tc["expansion"].default_expansion(workload.genus, workloads.TRUNC)
+            state = workload.setup(tc, 1, pathlib.Path(tmp), True)
+            for item in state.items:
+                output = workload.run(tc, exp, state, item)
+                assert all(workload.check(tc, state, item, output)), (workload.name, item)
+    finally:
+        for name in [n for n in sys.modules if n.split(".")[0] == "twistcalc"]:
+            del sys.modules[name]
+        sys.modules.update(before)
+
+
+def census(tmp):
+    """(reached, claimed, unclaimed): the defs in src that _product_runs
+    reaches, {def: reason} of the others that a tracer layer or CLAIMS
+    claims, and the rest, each a sorted list of "module.qualname"."""
+    codes = set()
+
+    def hook(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    outer = sys.getprofile()
+    sys.setprofile(hook)
+    try:
+        _product_runs(tmp)
+    finally:
+        sys.setprofile(outer)
+    seen = {(str(pathlib.Path(c.co_filename).resolve()), c.co_firstlineno) for c in codes}
+    reasons = {
+        "%s.%s" % (module, qual): "perfbench/tracing.py LAYERS"
+        for module, quals in _perfbench("tracing").LAYERS.items()
+        for qual in quals
+    }
+    for reason, names in CLAIMS.items():
+        reasons.update(dict.fromkeys(names, reason))
+    reached, claimed, unclaimed = [], {}, []
+    for key, name in _defs().items():
+        if key in seen:
+            reached.append(name)
+        elif name in reasons:
+            claimed[name] = reasons[name]
+        else:
+            unclaimed.append(name)
+    return sorted(reached), dict(sorted(claimed.items())), sorted(unclaimed)
+
+
+def test_every_def_in_src_is_run_by_a_command_or_a_workload(tmp_path):
+    _, claimed, unclaimed = census(str(tmp_path))
+    assert unclaimed == []
+    stale = [n for names in CLAIMS.values() for n in names if n not in claimed]
+    assert stale == []
+
+
+if __name__ == "__main__":
+    # Print the census: PYTHONPATH=src python -B tests/test_dependencies.py
+    with tempfile.TemporaryDirectory() as tmp:
+        reached, claimed, unclaimed = census(tmp)
+    print("reached (%d):" % len(reached))
+    for name in reached:
+        print("  " + name)
+    print("claimed (%d):" % len(claimed))
+    for name, reason in claimed.items():
+        print("  %s  [%s]" % (name, reason))
+    print("unclaimed (%d):" % len(unclaimed))
+    for name in unclaimed:
+        print("  " + name)

@@ -14,7 +14,7 @@ from twistcalc.diagrams import (
     tree_sum,
 )
 from twistcalc.surface import HVector
-from twistcalc.tensor import DomainError, Tensor, bracket, cyclicize, product
+from twistcalc.tensor import DomainError, Tensor, bracket, combination, cyclicize, product
 
 G = 2
 N = 5
@@ -29,7 +29,7 @@ def random_hv(rng, lo=-2, hi=2):
 
 
 def ihx_combination(a, b, c, d):
-    return tree(a, b, c, d) - tree(a, c, b, d) - tree(a, d, c, b)
+    return tree_sum([(1, (a, b, c, d)), (-1, (a, c, b, d)), (-1, (a, d, c, b))])
 
 
 # -- eta ---------------------------------------------------------------
@@ -68,7 +68,7 @@ def test_antisymmetry_holds_through_eta_not_formally(degree):
         for i in (0, degree):
             swapped = labels[:i] + [labels[i + 1], labels[i]] + labels[i + 2 :]
             assert eta(t, N) == -eta(tree(*swapped), N)
-            assert t != -tree(*swapped)
+            assert t != tree_sum([(-1, swapped)])
 
 
 def test_eta_ihx_vanishes():
@@ -149,7 +149,7 @@ def module_reading(labels, g):
     hv = [Tensor(g, N, {(i + 1,): c for i, c in enumerate(v.coords)}) for v in labels]
     if len(hv) == 2:
         ab = bracket(*hv)
-        return product(ab, ab).scale(Fraction(1, 2))
+        return combination(g, N, [(Fraction(1, 2), product(ab, ab))])
     if len(hv) == 3:
         a, b, c = hv
         return product(a, bracket(c, b))
@@ -166,17 +166,18 @@ def test_eta_is_the_sum_of_cyclicized_readings(g):
     # each node's reading and sums the rational coefficients node by node.
     rng = rng_for("eta-route-%d" % g)
     for _ in range(12):
-        d, terms = DiagramSum(), {}
+        pairs, terms = [], {}
         for _ in range(rng.randint(1, 6)):
             labels = [
                 HVector(rng.choice((-2, -1, 0, 0, 0, 1)) for _ in range(2 * g))
                 for _ in range(rng.choice([2, 3, 4, 5]))
             ]
             c = Fraction(rng.randint(-5, 5), rng.randint(1, 6))
-            d = d + (odot(*labels) if len(labels) == 2 else tree(*labels)).scale(c)
+            # u (.) v is (1/2) T(u, v, u, v)
+            pairs.append((c / 2, labels * 2) if len(labels) == 2 else (c, labels))
             for w, v in cyclicize(module_reading(labels, g)).terms.items():
                 terms[w] = terms.get(w, 0) + c * v
-        assert eta(d, N, g) == Tensor(g, N, terms)
+        assert eta(tree_sum(pairs), N, g) == Tensor(g, N, terms)
 
 
 # -- one-pass sums ---------------------------------------------------------
@@ -184,7 +185,7 @@ def test_eta_is_the_sum_of_cyclicized_readings(g):
 
 def sum_of_diagram_sums(terms):
     """The route tree_sum replaces: one DiagramSum per term, added one by one."""
-    return sum((tree(*labels).scale(c) for c, labels in terms), DiagramSum())
+    return sum((DiagramSum({tuple(labels): c}) for c, labels in terms), DiagramSum())
 
 
 @pytest.mark.parametrize(
@@ -212,10 +213,11 @@ def test_psi_sums_match_the_sum_of_diagram_sums(build, monkeypatch):
 
 def test_identity_lhs_and_lemma_odot_combination_match_their_odot_sums():
     # The sums of DiagramSums these two were written as before tree_sum.
-    lhs = (odot(A1, B1) + tree(A1, B1, A2, B2) + odot(A2, B2)).scale(3)
-    assert psi_data.identity_lhs() == lhs
-    lemma = odot(A1, B1) - odot(A1, B1 + A2) - odot(A1 + A2, B1) + odot(A1 + A2, B1 + A2)
-    assert psi_data.lemma_odot_combination() == lemma
+    # The lemma's negative terms are moved to the right.
+    tau2 = odot(A1, B1) + tree(A1, B1, A2, B2) + odot(A2, B2)
+    assert psi_data.identity_lhs() == tau2 + tau2 + tau2
+    lemma = psi_data.lemma_odot_combination() + odot(A1, B1 + A2) + odot(A1 + A2, B1)
+    assert lemma == odot(A1, B1) + odot(A1 + A2, B1 + A2)
 
 
 def test_morita_tau2_matches_the_sum_of_diagram_sums():
@@ -228,6 +230,10 @@ def test_morita_tau2_matches_the_sum_of_diagram_sums():
 
 
 def test_tree_sum_merges_repeated_trees_and_drops_cancelled_ones():
+    # The DiagramSum constructor sums a repeated tree, not only tree_sum.
+    labels = (A1, B1, A2)
+    assert DiagramSum([(labels, 1), (labels, 2)]).items == {labels: 3}
+    assert DiagramSum([(labels, 1), (labels, -1)]).items == {}
     rng = rng_for("tree-sum")
     for _ in range(20):
         pool = [tuple(random_hv(rng) for _ in range(rng.choice([3, 4, 5]))) for _ in range(4)]
@@ -248,9 +254,10 @@ def test_tree_sum_merges_repeated_trees_and_drops_cancelled_ones():
 
 
 def test_odot_is_half_symmetric_tree():
-    assert eta(odot(A1, B1), N) == eta(tree(A1, B1, A1, B1), N).scale(Fraction(1, 2))
+    half = Fraction(1, 2)
+    assert eta(odot(A1, B1), N) == combination(G, N, [(half, eta(tree(A1, B1, A1, B1), N))])
     for u, v in ((A1, B1), (A1 + B2, 2 * B1 - A2)):
-        assert odot(u, v) == tree(u, v, u, v).scale(Fraction(1, 2))
+        assert odot(u, v) == tree_sum([(half, (u, v, u, v))])
         assert odot(u, v) + odot(u, v) == tree(u, v, u, v)
 
 
@@ -271,8 +278,9 @@ def test_odot_symmetric():
 
 def test_odot_bilinearity_defect_is_tree_sum():
     lhs = eta(odot(A1, B1 + A2), N) - eta(odot(A1, B1), N) - eta(odot(A1, A2), N)
-    rhs = (eta(tree(A1, B1, A1, A2), N) + eta(tree(A1, A2, A1, B1), N)).scale(
-        Fraction(1, 2)
+    half = Fraction(1, 2)
+    rhs = combination(
+        G, N, [(half, eta(tree(A1, B1, A1, A2), N)), (half, eta(tree(A1, A2, A1, B1), N))]
     )
     assert lhs == rhs
 
@@ -303,7 +311,7 @@ def test_kappa_kills_odot():
     assert kappa(odot(A1, B1)) == {}
     assert kappa(odot(A1 + B2, B1 - A2)) == {}
     # A coefficient with no inverse mod 3 is never reduced: the wedge is 0.
-    assert kappa(odot(A1, B1).scale(Fraction(1, 3))) == {}
+    assert kappa(tree_sum([(Fraction(1, 6), (A1, B1, A1, B1))])) == {}
 
 
 def test_kappa_of_basis_tree():
@@ -349,18 +357,18 @@ def test_kappa_matches_leibniz_sum():
     rng = rng_for("kappa-leibniz")
     nonzero = 0
     for _ in range(40):
-        d = DiagramSum()
+        pairs = []
         expected = {}
         for _ in range(rng.randint(1, 3)):
             labels = [HVector(rng.randint(-2, 2) for _ in range(2 * g)) for _ in range(4)]
             coeff = Fraction(rng.choice([-2, -1, 1, 2, 4]), rng.choice([1, 2, 4]))
-            d = d + tree(*labels).scale(coeff)
+            pairs.append((coeff, labels))
             c = coeff.numerator * pow(coeff.denominator, -1, 3)
             for key, val in leibniz_wedge4(labels, 2 * g).items():
                 expected[key] = expected.get(key, 0) + c * val
         expected = {key: val % 3 for key, val in expected.items() if val % 3}
         nonzero += bool(expected)
-        assert kappa(d) == expected
+        assert kappa(tree_sum(pairs)) == expected
     assert nonzero >= 30
 
 
@@ -379,15 +387,18 @@ def test_diagram_sum_cannot_be_set_or_deleted():
 
 
 def test_diagram_sum_adds_only_diagram_sums():
+    # Sums of trees with other coefficients are tree_sums.
     d = tree(A1, B1, A2)
     for other in (1, 0, Fraction(1, 2), "x"):
         with pytest.raises(TypeError):
             d + other
         with pytest.raises(TypeError):
-            d - other
+            other * d
+    for make in (lambda: d - d, lambda: -d):
         with pytest.raises(TypeError):
-            other * d  # scale is the one spelling of a scalar multiple
+            make()
     with pytest.raises(TypeError):
         sum([d, d])  # no start: 0 + d
-    assert sum([d, tree(A1, B1, B2), d], DiagramSum()) == d.scale(2) + tree(A1, B1, B2)
+    expected = tree_sum([(2, (A1, B1, A2)), (1, (A1, B1, B2))])
+    assert sum([d, tree(A1, B1, B2), d], DiagramSum()) == expected
     assert sum([], DiagramSum()) == DiagramSum()
