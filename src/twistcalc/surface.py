@@ -19,13 +19,15 @@ class HVector(Value):
     def __init__(self, coords):
         coords = tuple(coords)
         ints = tuple(map(int, coords))
-        if ints != coords:
+        if ints != coords or not {bool, float}.isdisjoint(map(type, coords)):
             raise DomainError("homology coordinates must be integers")
         object.__setattr__(self, "coords", ints)
 
     @classmethod
     def basis(cls, g, idx):
         """The basis vector for generator index idx in 1..2g."""
+        if type(idx) is not int or not 1 <= idx <= 2 * g:
+            raise DomainError("generator index %r out of range" % (idx,))
         coords = [0] * (2 * g)
         coords[idx - 1] = 1
         return cls(coords)

@@ -17,6 +17,7 @@ from fractions import Fraction
 from itertools import accumulate, compress
 from math import factorial, gcd, lcm
 from operator import attrgetter, sub
+from sys import int_info
 
 
 class DomainError(ValueError):
@@ -217,15 +218,18 @@ def _check_compatible(g, trunc, t):
 def combination(g, trunc, terms):
     """The linear combination sum c t over an iterable of (c, t) pairs.
 
-    Each c is an int or a Fraction and each t a tensor of genus g and
-    truncation trunc.  The iterable is read once; int numerators accumulate
-    in place in one dict over one common denominator, which grows to the lcm
-    with each new factor t.den * c.denominator, rescaling the entries
-    already stored, so no partial sum is copied.
+    Each c is an int or a Fraction, else read as the constructor reads a
+    coefficient, and each t a tensor of genus g and truncation trunc.  The
+    iterable is read once; int numerators accumulate in place in one dict
+    over one common denominator, which grows to the lcm with each new factor
+    t.den * c.denominator, rescaling the entries already stored, so no
+    partial sum is copied.
     """
     num = {}
     den = 1
     for c, t in terms:
+        if c.__class__ is not int and c.__class__ is not Fraction:
+            c = _exact(c)
         _check_compatible(g, trunc, t)
         if not c or not t.num:
             continue
@@ -257,13 +261,10 @@ def _bucket(num, trunc):
     return num.get((), 0), list(accumulate(by_degree))
 
 
-def _mul(xnum, c0, fitting, trunc):
-    """The numerators of x·y at truncation trunc, with y given as _bucket(y.num).
-
-    y's constant term scales x in one copy; each word of x then meets only
-    the other words of y that fit in the room the truncation leaves it.
-    """
-    num = {w: c * c0 for w, c in xnum.items()} if c0 else {}
+def _mul(xnum, num, fitting, trunc):
+    """num plus the numerators of x·y at truncation trunc, with y's other words
+    given as _bucket(y.num)[1]: each word of x meets only those that fit in
+    the room the truncation leaves it.  num is updated in place."""
     for wx, cx in xnum.items():
         for wy, cy in fitting[trunc - len(wx)]:
             w = wx + wy
@@ -274,7 +275,9 @@ def _mul(xnum, c0, fitting, trunc):
 def product(x, y):
     """Concatenation product, discarding words longer than the truncation."""
     _check_compatible(x.g, x.trunc, y)
-    return _tensor(x.g, x.trunc, _mul(x.num, *_bucket(y.num, x.trunc), x.trunc), x.den * y.den)
+    c0, fitting = _bucket(y.num, x.trunc)
+    num = {w: c * c0 for w, c in x.num.items()} if c0 else {}
+    return _tensor(x.g, x.trunc, _mul(x.num, num, fitting, x.trunc), x.den * y.den)
 
 
 def bracket(x, y):
@@ -308,9 +311,10 @@ def _horner(num, den, n, coeff, scale):
 
     With m the lowest degree of y, y^i vanishes for i > n // m, so the nesting
     starts there; the level under i factors of y only meets degrees <= n - i m,
-    so it is computed there, as _mul of h by the one bucketing of y.  Level i
-    is H_i / (scale den^(top - i)), H_i = H_(i+1) num + coeff(i) den^(top - i);
-    H_top is a constant, so H_(top-1) starts from y's bucket.
+    so it is computed there from the one bucketing of y: with h / p the level
+    above, level i is (coeff(i) p num + h num) / (p den), y's bucket scaled
+    by coeff(i) p plus h y, so no level holds a constant word.  Once p
+    outgrows one int digit, each level is divided by its gcd with p.
     """
     _, fitting = _bucket(num, n)
     m = next((r for r, f in enumerate(fitting) if f), n + 1)
@@ -321,9 +325,14 @@ def _horner(num, den, n, coeff, scale):
         h = {w: c * v for w, v in fitting[n - (top - 1) * m]}
         p = den
     for i in range(top - 1, 0, -1):
-        h[()] = coeff(i) * p  # y has no constant term, so neither has y h
-        h = _mul(h, 0, fitting, n - (i - 1) * m)
+        t, c = n - (i - 1) * m, coeff(i) * p
+        h = _mul(h, {w: c * v for w, v in fitting[t]}, fitting, t)
         p *= den
+        if p.bit_length() > int_info.bits_per_digit:
+            d = gcd(p, *h.values())
+            if d != 1:
+                p //= d
+                h = {w: v // d for w, v in h.items()}
     c = coeff(0)
     if c:
         h[()] = c * p

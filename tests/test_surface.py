@@ -18,6 +18,7 @@ from twistcalc.surface import (
     inverse_barcode,
     validate_barcode,
 )
+from twistcalc.tensor import DomainError
 
 G = 2
 A1 = HVector.basis(G, 1)
@@ -60,6 +61,17 @@ def test_omega_antisymmetric_bilinear():
 def test_omega_length_mismatch():
     with pytest.raises(Exception):
         omega(HVector((1, 0)), HVector((1, 0, 0, 0)))
+
+
+# -- HVector ------------------------------------------------------------
+
+
+def test_basis_index_is_an_int_in_range():
+    assert [HVector.basis(G, i).coords.index(1) for i in range(1, 2 * G + 1)] == [0, 1, 2, 3]
+    # Index 0 or -1 would wrap to the end of the coordinate list.
+    for idx in (0, -1, 2 * G + 1, True, 1.0):
+        with pytest.raises(DomainError, match="^generator index %r out of range$" % idx):
+            HVector.basis(G, idx)
 
 
 # -- barcodes -----------------------------------------------------------

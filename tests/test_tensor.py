@@ -2,13 +2,13 @@ import re
 from fractions import Fraction
 
 from itertools import product as word_product
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 import pytest
 
 from conftest import assert_canonical, random_barcode, rng_for
 from oracles import truncate
-from twistcalc.expansion import default_expansion, log_theta
+from twistcalc.expansion import default_expansion, log_theta, theta
 from twistcalc.tensor import (
     DomainError,
     Tensor,
@@ -129,6 +129,19 @@ def test_constructor_checks_the_indices_of_every_word():
     for c in (True, "x", "1/0", None, object()):
         with pytest.raises(DomainError, match="^coefficient .+ is not an exact number$"):
             Tensor(G, 1, {(A1,): c})
+
+
+def test_combination_reads_coefficients_as_the_constructor_does():
+    # An int or a Fraction is used as it is; any other coefficient goes
+    # through the constructor's check, so a float or a bool raises its
+    # DomainError, in any position, and a string such as "1/2" is read exactly.
+    x = gen(A1)
+    for c, message in ((0.5, "is a float, not exact"), (True, "is not an exact number"), (None, "is not an exact number")):
+        for pairs in ([(c, x)], [(1, x), (c, x)]):
+            with pytest.raises(DomainError, match="^coefficient %s %s$" % (re.escape(repr(c)), message)):
+                combination(G, N, pairs)
+    assert combination(G, N, [("1/2", x)]) == words({(A1,): Fraction(1, 2)})
+    assert combination(G, N, [(Fraction(1, 2), x), (3, x)]) == words({(A1,): Fraction(7, 2)})
 
 
 # -- product -------------------------------------------------------------
@@ -532,6 +545,52 @@ def test_series_match_fraction_reference_at_each_nesting_depth(top):
                 assert dict(got.terms) == ref_clean(want, n)
             raw, _ = _log(x.num, x.den, n)
             assert 0 not in raw.values()
+
+
+@pytest.mark.parametrize("top", [1, 2, 3, 4, 5])
+def test_series_match_fraction_reference_when_levels_are_reduced(top):
+    # Horner's rule divides a level by the gcd of its numerators and its
+    # denominator once that denominator, den^depth, passes 2^30; with
+    # random_terms' denominators (<= 12) it never gets there.  Here each
+    # coefficient's denominator divides 7 * 11 * 13 * 17 * 19 = 323323, so
+    # den^2 > 2^30 for most inputs, and at top = 5 theta of a letter at
+    # degree 5 has den 720 and its log reaches 720^4.
+    rng = rng_for("series-reduced-%d" % top)
+    g = 2
+    n = top if top in (3, 4) else 5
+    m = min(m for m in range(1, n + 1) if n // m == top)
+    dens = [1]
+    for q in (7, 11, 13, 17, 19):
+        dens += [d * q for d in dens]
+    cases = []
+    for _ in range(4):
+        xd = {}
+        for deg in list(range(m, n + 1)) + [rng.randint(m, n) for _ in range(3)]:
+            w = tuple(rng.randint(1, 2 * g) for _ in range(deg))
+            xd[w] = Fraction(rng.choice([-6, -3, -2, -1, 1, 2, 4, 9]), rng.choice(dens))
+        cases.append((Tensor(g, n, xd), False))
+    if top == 5:
+        # log theta of a letter is its short log-value, so most raw sums
+        # of its Horner levels cancel to zero.
+        exp = default_expansion(g, n)
+        cases += [(theta(exp, (k,)) - Tensor(g, n, {(): 1}), True) for k in (1, -2, 3, -4)]
+    reduced = 0
+    for x, cancels in cases:
+        xd = dict(x.terms)
+        exp_ref = ref_series(xd, n, lambda i: Fraction(1, factorial(i)))
+        log_ref = ref_series(xd, n, lambda i: Fraction((-1) ** (i + 1), i))
+        for got, want in (
+            (exp_series(x), ref_lin({(): 1}, exp_ref, 1)),
+            (log_series(Tensor(g, n, {(): 1}) + x), log_ref),
+        ):
+            assert_canonical(got)
+            assert dict(got.terms) == ref_clean(want, n)
+        raw, raw_den = _log(x.num, x.den, n)
+        assert () not in raw
+        assert cancels or 0 not in raw.values()
+        reduced += raw_den < lcm(*range(1, n + 1)) * x.den**top
+    # A level is only reduced below the top one, so never at top = 1.
+    assert (reduced > 0) == (top > 1)
 
 
 def test_dynkin_defect_matches_fraction_reference_on_dense_parts():

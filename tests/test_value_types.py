@@ -102,14 +102,18 @@ def test_distinct_fields_compare_unequal():
 
 
 def test_hvector_coords_become_a_tuple_of_ints():
-    v = HVector(iter([1.0, 0, True, -2]))
-    assert v.coords == (1, 0, 1, -2)
+    v = HVector(iter([Fraction(2, 2), 0, 3, -2]))
+    assert v.coords == (1, 0, 3, -2)
     assert all(type(c) is int for c in v.coords)
 
 
 def test_hvector_rejects_non_integral_coordinates():
     for make in (
         lambda: HVector((0.5, 0, 0, 0)),
+        # A bool or a float is refused even when it equals an int.
+        lambda: HVector(iter([1.0, 0, True, -2])),
+        lambda: HVector((0, False, 0, 0)),
+        lambda: HVector((1.0, 0, 0, 0)),
         lambda: Fraction(1, 2) * HVector.basis(2, 1),
         lambda: HVector(("7", 0, 0, 0)),
     ):
