@@ -4,13 +4,16 @@ L_k is the degree-k part of (1/2) N(l^2), l = log theta of a null-homologous
 barcode; twist_sum gives sum c L_4 (tau_2) and sum c L_5 (tau_3 when tau_2
 vanishes) of a signed twist list from one log theta per twist.  Both are one
 int fold that sums the twists' products before N and turns the middle
-square l_{k/2}^2 only k/2 times; L_4 and L_5 take no series, as
+square l_{k/2}^2 only k/2 times (on dense blocks when a degree's products
+outnumber its words); L_4 and L_5 take no series, as
 log theta = theta - 1 below degree 4.
 A homogeneous tensor is itself a derivation, read as a Hom(H, .) map
 through the duality x -> omega(x, -).
 """
 
+from itertools import compress, product
 from math import gcd, lcm
+from operator import add
 
 from . import tensor as T
 from .expansion import _theta
@@ -39,7 +42,8 @@ def _fold(exp, twists, k):
     """[sum c L_j for j = 4..k] over (int c, checked barcode) pairs, as in L_k:
     l = log theta on ints (theta - 1 for k <= 5), reduced by one gcd and
     bucketed by degree; each degree is summed in int dicts over one den, and
-    N turns its nonzero entries.  As l_1 = theta_1, the barcode is
+    N turns its nonzero entries, unless its products outnumber its (2g)^j
+    words (_dense_cyclic).  As l_1 = theta_1, the barcode is
     null-homologous exactly when l has no degree-1 word.
     """
     if type(k) is not int or not 4 <= k <= exp.trunc:
@@ -60,8 +64,16 @@ def _fold(exp, twists, k):
             raise T.DomainError("barcode is not null-homologous")
         logs.append((c, (den // q) ** 2, parts))
     den = lcm(*(d for _, d, _ in logs))
+    base = 2 * exp.g
     sums = []
     for j in range(4, k + 1):
+        count = 0
+        for _, _, p in logs:
+            for i in range(2, j // 2 + 1):
+                count += len(p[i]) * len(p[j - i])
+        if count > base**j:
+            sums.append(T._tensor(exp.g, exp.trunc, _dense_cyclic(logs, den, j, base), den))
+            continue
         cross, square = {}, {}
         for c, d, parts in logs:
             f = c * (den // d)
@@ -82,6 +94,32 @@ def _fold(exp, twists, k):
                         num[x] = num.get(x, 0) + v
         sums.append(T._tensor(exp.g, exp.trunc, num, den))
     return sums
+
+
+def _dense_cyclic(logs, den, j, b):
+    """_fold's degree-j numerators from dense blocks of b^j ints in
+    dynkin_defect's layout.  N is Horner's rule in T._turn (rot^-1) over the
+    levels cross + [r < j/2] square: the square is rot^(j/2)-invariant, so
+    its turns may run either way; at j = 4 the cross is empty."""
+    size = b**j
+    cross, square = [0] * size, [0] * size
+    letters = range(1, b + 1)
+    index = {w: n for i in range(2, j - 1) for n, w in enumerate(product(letters, repeat=i))}
+    for c, d, parts in logs:
+        f = c * (den // d)
+        for i in range(2, j // 2 + 1):
+            acc = square if 2 * i == j else cross
+            shift = b ** (j - i)
+            right = [(index[v], y) for v, y in parts[j - i]]
+            for u, x in parts[i]:
+                at, fx = index[u] * shift, f * x
+                for n, y in right:
+                    acc[at + n] += fx * y
+    both = list(map(add, cross, square)) if j % 2 == 0 else cross
+    h, *levels = [cross] * (j - j // 2) * (j > 4) + [both] * (j // 2)
+    for x in levels:
+        h = list(map(add, x, T._turn(h, b, j, j)))
+    return dict(zip(compress(product(letters, repeat=j), h), filter(None, h)))
 
 
 def L_k(exp, bc, k):

@@ -4,7 +4,7 @@ A barcode is a sequence of nonzero ints k with |k| <= 2g; the entry
 +-(2i-1) stands for alpha_i^{+-1} and +-2i for beta_i^{+-1}.
 """
 
-from .tensor import DomainError, Value
+from .tensor import DomainError, Value, _check_shape
 
 
 class BarcodeError(ValueError):
@@ -18,7 +18,10 @@ class HVector(Value):
 
     def __init__(self, coords):
         coords = tuple(coords)
-        ints = tuple(map(int, coords))
+        try:
+            ints = tuple(map(int, coords))
+        except (TypeError, ValueError, ArithmeticError):
+            ints = None
         if ints != coords or not {bool, float}.isdisjoint(map(type, coords)):
             raise DomainError("homology coordinates must be integers")
         object.__setattr__(self, "coords", ints)
@@ -26,6 +29,7 @@ class HVector(Value):
     @classmethod
     def basis(cls, g, idx):
         """The basis vector for generator index idx in 1..2g."""
+        _check_shape(g)
         if type(idx) is not int or not 1 <= idx <= 2 * g:
             raise DomainError("generator index %r out of range" % (idx,))
         coords = [0] * (2 * g)

@@ -198,7 +198,7 @@ def _exact(c):
     raise DomainError("coefficient %r is not an exact number" % (c,))
 
 
-def _check_shape(g, trunc):
+def _check_shape(g, trunc=1):
     """Raise DomainError unless the genus and the truncation degree are ints >= 1."""
     for name, n in (("genus", g), ("truncation degree", trunc)):
         if type(n) is not int:
@@ -370,6 +370,23 @@ def antipode(x):
     return _tensor(x.g, x.trunc, num, x.den)
 
 
+def _turn(block, b, k, n):
+    """The dense degree-n block over b letters with the k-th letter of each
+    word moved to the front: at a v s it holds block's v a s, |v| = k - 1."""
+    lv, ls = b ** (k - 1), b ** (n - k)
+    moved = [0] * len(block)
+    if ls > lv:  # runs of suffixes s
+        for a in range(b):
+            for v in range(lv):
+                i, j = (v * b + a) * ls, (a * lv + v) * ls
+                moved[j : j + ls] = block[i : i + ls]
+    else:  # strided runs of prefixes v
+        for a in range(b):
+            for s in range(ls):
+                moved[a * lv * ls + s : (a + 1) * lv * ls : ls] = block[a * ls + s :: b * ls]
+    return moved
+
+
 def dynkin_defect(x):
     """Sum over degrees n of (beta(x_n) - n * x_n), where beta left-nests brackets.
 
@@ -377,7 +394,7 @@ def dynkin_defect(x):
     part is a dense list of (2g)^n numerators, indexed by the word in base 2g,
     first letter most significant (1,024 ints at g = 2 and 7,776 at g = 3 for
     n = 5).  beta_n = Phi_n ... Phi_2, Phi_k(v a s) = v a s - a v s for
-    |v a| = k: one block transpose and one subtraction each.
+    |v a| = k: one _turn and one subtraction each.
     """
     if () in x.num:
         raise DomainError("dynkin_defect requires a zero constant term")
@@ -397,19 +414,7 @@ def dynkin_defect(x):
         size = len(block)
         beta = block
         for k in range(2, n + 1):
-            # moved holds at a v s the value of v a s, |v| = k - 1
-            lv, ls = b ** (k - 1), b ** (n - k)
-            moved = [0] * size
-            if ls > lv:  # runs of suffixes s
-                for a in range(b):
-                    for v in range(lv):
-                        i, j = (v * b + a) * ls, (a * lv + v) * ls
-                        moved[j : j + ls] = beta[i : i + ls]
-            else:  # strided runs of prefixes v
-                for a in range(b):
-                    for s in range(ls):
-                        moved[a * lv * ls + s : (a + 1) * lv * ls : ls] = beta[a * ls + s :: b * ls]
-            beta = list(map(sub, beta, moved))
+            beta = list(map(sub, beta, _turn(beta, b, k, n)))
         scaled = list(map(n.__mul__, block))
         if beta == scaled:
             continue

@@ -15,6 +15,7 @@ from twistcalc.expansion import _theta, default_expansion, theta
 from twistcalc.johnson import (
     L_k,
     TwistEntry,
+    _dense_cyclic as dense_cyclic,
     apply_derivation,
     derivation_bracket,
     twist_sum,
@@ -333,6 +334,75 @@ def test_twist_sum_matches_per_twist_L_k(g):
             assert value == expected
         assert twist_sum(exp, twists, 4) == sums[:1]
     assert twist_sum(exp, [], 5) == [Tensor.zero(g, N)] * 2
+
+
+def record_dense_degrees(monkeypatch):
+    """The degrees j that the fold then sums on dense blocks, as they happen."""
+    seen = []
+
+    def recording(logs, den, j, b):
+        seen.append(j)
+        return dense_cyclic(logs, den, j, b)
+
+    monkeypatch.setattr("twistcalc.johnson._dense_cyclic", recording)
+    return seen
+
+
+def dense_case_barcodes(g):
+    """Seeded twist barcodes whose products together outnumber the (2g)^j
+    words in some degree j, though one curve's products mostly do not."""
+    rng = rng_for("dense-cyclic-%d" % g)
+    if g == 3:
+        return [random_null_homologous_barcode(rng, g) for _ in range(20)]
+    length, count = {1: (2, 16), 2: (4, 8)}[g]
+    return [
+        commutator_barcode(random_barcode(rng, g, length), random_barcode(rng, g, length))
+        for _ in range(count)
+    ]
+
+
+@pytest.mark.parametrize(
+    "g, k, dense, single_dense",
+    [(1, 7, [4, 5, 6, 7], {7}), (2, 5, [4, 5], set()), (2, 6, [6], set()), (3, 5, [4, 5], set())],
+    ids=["g1-k7", "psi-k5", "g2-k6", "g3-k5"],
+)
+def test_dense_cyclic_sums_match_the_dict_path(monkeypatch, g, k, dense, single_dense):
+    # The single curves stay on the dict path, so the per-twist L_k sum is a
+    # reference from the other path, except at genus 1 in degree 7, where
+    # even [b, a^-1] makes 132 products into 2^7 words; full_degree_L_k takes
+    # neither path and is the reference in every degree.
+    exp = default_expansion(g, k)
+    rng = rng_for("dense-cyclic-coefficients-%d-%d" % (g, k))
+    if (g, k) == (2, 5):
+        twists = psi_twist_entries()
+    else:
+        coeffs = [-3, -2, -1, 1, 2, 3]
+        twists = [TwistEntry(rng.choice(coeffs), 1, bc) for bc in dense_case_barcodes(g)]
+    barcodes = {t.barcode for t in twists}
+    seen = record_dense_degrees(monkeypatch)
+    singles = {bc: {j: L_k(exp, bc, j) for j in range(4, k + 1)} for bc in barcodes}
+    assert set(seen) == single_dense
+    seen.clear()
+    sums = twist_sum(exp, twists, k)
+    assert seen == dense
+    refs = {bc: full_degree_L_k(exp, bc) for bc in barcodes}
+    for j, got in zip(range(4, k + 1), sums):
+        assert_canonical(got)
+        assert got == combination(g, k, [(t.coeff, singles[t.barcode][j]) for t in twists])
+        assert got == combination(g, k, [(t.coeff, refs[t.barcode][j]) for t in twists])
+
+
+def test_fold_takes_dense_blocks_only_when_products_outnumber_words(exp_g2, monkeypatch):
+    # psi's L_4 square makes 444 products into 4^4 = 256 words and its L_5
+    # cross sum 1,870 into 1,024; a sweep-style genus-3 L_4 makes at most 36
+    # into 6^4 = 1,296 and stays on the dict path.
+    seen = record_dense_degrees(monkeypatch)
+    twist_sum(exp_g2, psi_twist_entries(), 5)
+    assert seen == [4, 5]
+    seen.clear()
+    sweep = sum((commutator_barcode([u], [v]) for u, v in ((1, -4), (-3, 6), (5, 2))), ())
+    L_k(default_expansion(3, N), sweep, 4)
+    assert seen == []
 
 
 # -- derivations ----------------------------------------------------------

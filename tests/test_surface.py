@@ -74,6 +74,26 @@ def test_basis_index_is_an_int_in_range():
             HVector.basis(G, idx)
 
 
+def test_basis_checks_the_genus_before_the_index():
+    # As Tensor and default_expansion check it: True once built (1, 0), 2.0
+    # raised a bare TypeError and genus 0 reported the index out of range.
+    for g, message in (
+        (True, "genus True is not an int"),
+        (2.0, "genus 2.0 is not an int"),
+        (0, "genus must be >= 1"),
+    ):
+        with pytest.raises(DomainError, match="^%s$" % message):
+            HVector.basis(g, 1)
+
+
+@pytest.mark.parametrize("coord", ["x", None, float("inf"), float("nan"), 1j], ids=repr)
+def test_hvector_coordinates_that_are_not_numbers(coord):
+    # int() raises its own ValueError, TypeError or OverflowError on these;
+    # HVector reports them as it reports "7".
+    with pytest.raises(DomainError, match="^homology coordinates must be integers$"):
+        HVector((coord, 0, 0, 0))
+
+
 # -- barcodes -----------------------------------------------------------
 
 
