@@ -5,9 +5,14 @@ monoid map from words in pi_1 (given as barcodes) to the truncated tensor
 algebra.  The value of an inverse letter is the antipode of its letter's
 value.  w -> m^|w| w is an algebra automorphism, so theta multiplies the letter
 values as ints scaled by it, m their common denominator, and divides once.
+Inside theta a word is its code in base 2g, first letter most significant
+(tensor.dynkin_defect's layout), so the product of words u, v is the int
+u (2g)^|v| + v; each word theta returns is spelled once, from a cached list.
 """
 
 from fractions import Fraction
+from functools import cache
+from itertools import product
 from math import lcm
 
 from . import tensor as T
@@ -17,11 +22,13 @@ from .surface import barcode_letters, boundary_barcode, validate_barcode
 class SymplecticExpansion:
     """Log-values l(alpha_i), l(beta_i) of a symplectic expansion, 1-indexed.
 
-    g of each, of genus g and truncation trunc; each l satisfies antipode(l) = -l,
-    as every Lie series does, so that exp(-l), the inverse letter's value, is
-    antipode(exp(l)).  The letter values are built once, scaled by m^|w| and
-    split by degree, in one pass over each exp(l) that also writes its
-    antipode; setting an attribute does not rebuild them.
+    g of each, of genus g and truncation trunc; each l is its generator in
+    degree 1, so that theta_1 is the homology class, and satisfies
+    antipode(l) = -l, as every Lie series does, so that exp(-l), the inverse
+    letter's value, is antipode(exp(l)).  The letter values are built once,
+    scaled by m^|w|, split by degree and held as (code, value) pairs, in one
+    pass over each exp(l) that also writes its antipode, the reversed word's
+    code read in the same loop; setting an attribute does not rebuild them.
     """
 
     def __init__(self, g, trunc, log_alpha, log_beta):
@@ -37,24 +44,41 @@ class SymplecticExpansion:
             what = "log-value of generator %d (%s)" % (idx, T.generator_name(g, idx))
             if (l.g, l.trunc) != (g, trunc):
                 raise T.DomainError(what + " has genus %d and truncation %d" % (l.g, l.trunc))
+            if () in l.num:
+                raise T.DomainError(what + " has a constant term")
+            if {w: c for w, c in l.num.items() if len(w) == 1} != {(idx,): l.den}:
+                raise T.DomainError(what + " has a degree-1 part other than its generator")
             if T.antipode(l) != -l:
                 raise T.DomainError(what + " fails antipode(l) = -l, as no Lie series does")
             values.append(T.exp_series(l))
-        # Every constant term is exactly 1 and every den divides m, so the
-        # scaled values are ints and the constant terms stay 1.
+        # Every constant term is exactly 1 and every den divides m, so a value
+        # scaled by m^|w| is m^d // den times its numerator in degree d >= 1,
+        # an int; the degree-1 part of each is its generator alone, scaled to m.
         self._m = m = lcm(*(t.den for t in values))
-        scale = [m**d for d in range(trunc + 1)]
+        b = 2 * g
+        # Read with the letters 1..2g as its digits, a word of degree d
+        # overshoots its code by ones[d], the reading of 1...1.
+        ones = [(b**d - 1) // (b - 1) for d in range(trunc + 1)]
         self._table = {}
-        for k in range(1, 2 * g + 1):
+        for k in range(1, b + 1):
             ((idx, _),) = barcode_letters((k,), g)
             t = values[idx - 1]
-            pos = [[] for _ in scale]
-            neg = [[] for _ in scale]
+            scale = [m**d // t.den for d in range(trunc + 1)]
+            pos = [[(0, 1)]] + [[] for _ in range(trunc)]
+            neg = [[(0, 1)]] + [[] for _ in range(trunc)]
             for w, c in t.num.items():
                 d = len(w)
-                c = c * scale[d] // t.den
-                pos[d].append((w, c))
-                neg[d].append((w[::-1], -c if d % 2 else c))
+                if not d:
+                    continue  # the constant 1, in place above
+                code = rev = 0
+                place = 1
+                for a in w:
+                    code = code * b + a
+                    rev += a * place
+                    place *= b
+                c *= scale[d]
+                pos[d].append((code - ones[d], c))
+                neg[d].append((rev - ones[d], -c if d % 2 else c))
             self._table[k] = pos
             self._table[-k] = neg
 
@@ -94,26 +118,49 @@ def default_expansion(g, trunc=5):
     return SymplecticExpansion(g, trunc, log_alpha, log_beta)
 
 
+@cache
+def _words(b, d):
+    """The words of degree d over b letters, listed by their base-b code."""
+    return list(product(range(1, b + 1), repeat=d))
+
+
 def _theta(exp, bc, n):
     """theta of a checked barcode at truncation n, as (num, den): int
     numerators, zeros dropped, over den = m^n.  The words of degree d are
-    kept scaled by m^d while each letter value y multiplies in place, top
-    degree first: parts[d] += y_d + sum_{0<p<d} parts[p] y_(d-p)."""
-    parts = [{(): 1}] + [{} for _ in range(n)]
+    kept scaled by m^d and keyed by their base-2g code while each letter value
+    y multiplies in place, top degree first: parts[d] += y_d + sum_{0<p<d}
+    parts[p] y_(d-p), where the product of codes u, v is u (2g)^|v| + v; y_1
+    is the letter's one word x, so the term p = d-1 is u 2g + x.  Each
+    surviving code is spelled once, through _words, at the end."""
+    b = 2 * exp.g
+    shift = [b**e for e in range(n + 1)]
+    parts = [{0: 1}] + [{} for _ in range(n)]
     for k in bc:
         y = exp._table[k]
-        for d in range(n, 0, -1):
+        ((x, e),) = y[1]
+        for d in range(n, 1, -1):
             acc = parts[d]
             for w, c in y[d]:
                 acc[w] = acc.get(w, 0) + c
-            for p in range(1, d):
-                q = y[d - p]
+            for p in range(1, d - 1):
+                q, f = y[d - p], shift[d - p]
                 for u, a in parts[p].items():
-                    for v, b in q:
+                    u *= f
+                    for v, c in q:
                         w = u + v
-                        acc[w] = acc.get(w, 0) + a * b
+                        acc[w] = acc.get(w, 0) + a * c
+            for u, a in parts[d - 1].items():
+                w = u * b + x
+                acc[w] = acc.get(w, 0) + a * e
+        parts[1][x] = parts[1].get(x, 0) + e
     s = [exp._m ** (n - d) for d in range(n + 1)]
-    return {w: c * s[d] for d, part in enumerate(parts) for w, c in part.items() if c}, s[0]
+    num = {}
+    for d, part in enumerate(parts):
+        words, f = _words(b, d), s[d]
+        for w, c in part.items():
+            if c:
+                num[words[w]] = c * f
+    return num, s[0]
 
 
 def theta(exp, bc):

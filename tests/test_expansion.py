@@ -15,6 +15,7 @@ from conftest import (
 from oracles import theta_at, truncate
 from twistcalc.expansion import (
     SymplecticExpansion,
+    _words,
     default_expansion,
     log_theta,
     symplectic_defect,
@@ -78,10 +79,33 @@ def test_log_values_are_lie_series():
 
 
 def test_expansion_rejects_log_value_that_is_not_lie():
+    # a1 b1 lacks its reversed word; in a1 b1 + b1 a1 the reversed word has
+    # the same sign, where even degree needs the opposite one.
     exp = default_expansion(1, 5)
     a, b = gens(1, 5)
-    with pytest.raises(DomainError, match=r"generator 2 \(b1\)"):
-        SymplecticExpansion(1, 5, exp.log_alpha, [product(a[0], b[0])])
+    for extra in (product(a[0], b[0]), product(a[0], b[0]) + product(b[0], a[0])):
+        with pytest.raises(DomainError, match=r"generator 2 \(b1\) fails antipode\(l\) = -l"):
+            SymplecticExpansion(1, 5, exp.log_alpha, [exp.log_beta[0] + extra])
+
+
+@pytest.mark.parametrize(
+    "change, fault",
+    [
+        (lambda l, a, b: l + l, "has a degree-1 part other than its generator"),
+        (lambda l, a, b: l + b, "has a degree-1 part other than its generator"),
+        (lambda l, a, b: l - a, "has a degree-1 part other than its generator"),
+        (lambda l, a, b: l + Tensor(1, 5, {(): 1}), "has a constant term"),
+    ],
+    ids=["doubled", "plus-b1", "without-a1", "constant-term"],
+)
+def test_expansion_rejects_log_value_that_is_not_its_generator_in_degree_one(change, fault):
+    # theta_1 must be the homology class of the barcode: the null-homology
+    # check of the L_k fold and the parser's homology check both read it.
+    exp = default_expansion(1, 5)
+    a, b = gens(1, 5)
+    log_alpha = [change(exp.log_alpha[0], a[0], b[0])]
+    with pytest.raises(DomainError, match=r"^log-value of generator 1 \(a1\) %s$" % fault):
+        SymplecticExpansion(1, 5, log_alpha, exp.log_beta)
 
 
 @pytest.mark.parametrize(
@@ -168,7 +192,9 @@ def test_log_values_match_the_pinned_formulas(g):
 def test_letter_table_matches_per_letter_values(make, g):
     # Each letter's value is exp_series of its log-value and each inverse
     # letter's the antipode of that, as tensors; the table holds them scaled
-    # by m^|w| and split by degree, in the order of the value's terms.
+    # by m^|w|, split by degree and keyed by each word's base-2g code (spelled
+    # here through _words), in the order of the value's terms.  Degree 1 is
+    # the letter's one word, as theta's degree-1 step takes it.
     trunc = 5
     exp = make(g, trunc)
     full = {}
@@ -185,7 +211,12 @@ def test_letter_table_matches_per_letter_values(make, g):
             [(w, c * m**d // t.den) for w, c in t.num.items() if len(w) == d]
             for d in range(trunc + 1)
         ]
-        assert exp._table[k] == want
+        got = [
+            [(_words(2 * g, d)[code], c) for code, c in part]
+            for d, part in enumerate(exp._table[k])
+        ]
+        assert got == want
+        assert want[1] == [((key[0],), key[1] * m)]
 
 
 def test_expansion_rejects_bad_arguments():
@@ -247,11 +278,13 @@ def theta_test_barcodes(rng, g):
 
 
 @pytest.mark.parametrize("make", [default_expansion, custom_expansion])
-@pytest.mark.parametrize("g", [1, 2, 3])
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_integer_theta_matches_product_fold(make, g):
     # The reference letters come from exp_series of the log-values, lowered to
     # each degree by the checked constructor, and theta is checked against the
-    # left fold of product over them.
+    # left fold of product over them.  g = 4 puts theta's word codes in base
+    # 8, against 2, 4 and 6 below it; its reference fold still affords every
+    # degree up to the cap, the truncation 5, in under 1 s per expansion.
     trunc = 5
     exp = make(g, trunc)
     rng = rng_for("integer-theta-%s-%d" % (make.__name__, g))

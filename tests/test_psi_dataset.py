@@ -1,10 +1,11 @@
+import random
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
 from twistcalc.expansion import log_theta
-from twistcalc.johnson import L_k
+from twistcalc.johnson import L_k, twist_sum
 from twistcalc.psi_data import PSI, psi_twist_entries
 from twistcalc.tensor import extract
 
@@ -149,3 +150,22 @@ def test_coefficients_span_the_L4_kernel(exp_g2):
     primitive = tuple(x // gcd(*ints) for x in ints)
     coeffs = tuple(tw.coeff for tw in twists)
     assert primitive in (coeffs, tuple(-x for x in coeffs))
+
+
+def test_first_nonvanishing_tau_is_integral(exp_g2):
+    # tau_3(psi), the first tau that does not vanish, each twist's L_4 and the
+    # tau_2 of seeded sub-lists of psi all come out over den 1; a single
+    # twist's L_5, over den 2, shows the check can fail.
+    rng = random.Random("psi-integral")
+    twists = psi_twist_entries()
+    tau2, tau3 = twist_sum(exp_g2, twists, 5)
+    assert tau2.is_zero()
+    assert (len(tau3.num), tau3.den) == (340, 1)
+    for tw in twists:
+        assert L_k(exp_g2, tw.barcode, 4).den == 1
+    for _ in range(8):
+        part = rng.sample(twists, rng.randint(1, len(twists) - 1))
+        (tau2,) = twist_sum(exp_g2, part, 4)
+        assert not tau2.is_zero()
+        assert tau2.den == 1
+    assert L_k(exp_g2, by_name()["t1"].barcode, 5).den == 2
