@@ -5,14 +5,12 @@ monoid map from words in pi_1 (given as barcodes) to the truncated tensor
 algebra.  The value of an inverse letter is the antipode of its letter's
 value.  w -> m^|w| w is an algebra automorphism, so theta multiplies the letter
 values as ints scaled by it, m their common denominator, and divides once.
-Inside theta a word is its code in base 2g, first letter most significant
-(tensor.dynkin_defect's layout), so the product of words u, v is the int
-u (2g)^|v| + v; each word theta returns is spelled once, from a cached list.
+Inside theta a word is its code in tensor's word layout, so the product of
+words u, v is the int u (2g)^|v| + v; each word theta returns is spelled once,
+from tensor's cached word list.
 """
 
 from fractions import Fraction
-from functools import cache
-from itertools import product
 from math import lcm
 
 from . import tensor as T
@@ -27,8 +25,8 @@ class SymplecticExpansion:
     antipode(l) = -l, as every Lie series does, so that exp(-l), the inverse
     letter's value, is antipode(exp(l)).  The letter values are built once,
     scaled by m^|w|, split by degree and held as (code, value) pairs, in one
-    pass over each exp(l) that also writes its antipode, the reversed word's
-    code read in the same loop; setting an attribute does not rebuild them.
+    pass over each exp(l) that also writes its antipode, at the reversed
+    word's code; setting an attribute does not rebuild them.
     """
 
     def __init__(self, g, trunc, log_alpha, log_beta):
@@ -42,6 +40,8 @@ class SymplecticExpansion:
         values = []
         for idx, l in enumerate(self.log_alpha + self.log_beta, start=1):
             what = "log-value of generator %d (%s)" % (idx, T.generator_name(g, idx))
+            if not isinstance(l, T.Tensor):
+                raise T.DomainError(what + " is not a Tensor")
             if (l.g, l.trunc) != (g, trunc):
                 raise T.DomainError(what + " has genus %d and truncation %d" % (l.g, l.trunc))
             if () in l.num:
@@ -56,9 +56,6 @@ class SymplecticExpansion:
         # an int; the degree-1 part of each is its generator alone, scaled to m.
         self._m = m = lcm(*(t.den for t in values))
         b = 2 * g
-        # Read with the letters 1..2g as its digits, a word of degree d
-        # overshoots its code by ones[d], the reading of 1...1.
-        ones = [(b**d - 1) // (b - 1) for d in range(trunc + 1)]
         self._table = {}
         for k in range(1, b + 1):
             ((idx, _),) = barcode_letters((k,), g)
@@ -70,15 +67,9 @@ class SymplecticExpansion:
                 d = len(w)
                 if not d:
                     continue  # the constant 1, in place above
-                code = rev = 0
-                place = 1
-                for a in w:
-                    code = code * b + a
-                    rev += a * place
-                    place *= b
                 c *= scale[d]
-                pos[d].append((code - ones[d], c))
-                neg[d].append((rev - ones[d], -c if d % 2 else c))
+                pos[d].append((T._code(w, b), c))
+                neg[d].append((T._code(w[::-1], b), -c if d % 2 else c))
             self._table[k] = pos
             self._table[-k] = neg
 
@@ -118,12 +109,6 @@ def default_expansion(g, trunc=5):
     return SymplecticExpansion(g, trunc, log_alpha, log_beta)
 
 
-@cache
-def _words(b, d):
-    """The words of degree d over b letters, listed by their base-b code."""
-    return list(product(range(1, b + 1), repeat=d))
-
-
 def _theta(exp, bc, n):
     """theta of a checked barcode at truncation n, as (num, den): int
     numerators, zeros dropped, over den = m^n.  The words of degree d are
@@ -131,7 +116,7 @@ def _theta(exp, bc, n):
     y multiplies in place, top degree first: parts[d] += y_d + sum_{0<p<d}
     parts[p] y_(d-p), where the product of codes u, v is u (2g)^|v| + v; y_1
     is the letter's one word x, so the term p = d-1 is u 2g + x.  Each
-    surviving code is spelled once, through _words, at the end."""
+    surviving code is spelled once, through T._words, at the end."""
     b = 2 * exp.g
     shift = [b**e for e in range(n + 1)]
     parts = [{0: 1}] + [{} for _ in range(n)]
@@ -156,7 +141,7 @@ def _theta(exp, bc, n):
     s = [exp._m ** (n - d) for d in range(n + 1)]
     num = {}
     for d, part in enumerate(parts):
-        words, f = _words(b, d), s[d]
+        words, f = T._words(b, d), s[d]
         for w, c in part.items():
             if c:
                 num[words[w]] = c * f

@@ -11,7 +11,6 @@ A homogeneous tensor is itself a derivation, read as a Hom(H, .) map
 through the duality x -> omega(x, -).
 """
 
-from itertools import compress, product
 from math import gcd, lcm
 from operator import add
 
@@ -97,29 +96,29 @@ def _fold(exp, twists, k):
 
 
 def _dense_cyclic(logs, den, j, b):
-    """_fold's degree-j numerators from dense blocks of b^j ints in
-    dynkin_defect's layout.  N is Horner's rule in T._turn (rot^-1) over the
+    """_fold's degree-j numerators from dense blocks of b^j ints in tensor's
+    word layout.  N is Horner's rule in T._turn (rot^-1) over the
     levels cross + [r < j/2] square: the square is rot^(j/2)-invariant, so
     its turns may run either way; at j = 4 the cross is empty."""
     size = b**j
     cross, square = [0] * size, [0] * size
-    letters = range(1, b + 1)
-    index = {w: n for i in range(2, j - 1) for n, w in enumerate(product(letters, repeat=i))}
+    codes = [T._codes(b, i) for i in range(j - 1)]
     for c, d, parts in logs:
         f = c * (den // d)
         for i in range(2, j // 2 + 1):
             acc = square if 2 * i == j else cross
             shift = b ** (j - i)
-            right = [(index[v], y) for v, y in parts[j - i]]
+            code = codes[j - i]
+            right = [(code[v], y) for v, y in parts[j - i]]
             for u, x in parts[i]:
-                at, fx = index[u] * shift, f * x
+                at, fx = codes[i][u] * shift, f * x
                 for n, y in right:
                     acc[at + n] += fx * y
     both = list(map(add, cross, square)) if j % 2 == 0 else cross
     h, *levels = [cross] * (j - j // 2) * (j > 4) + [both] * (j // 2)
     for x in levels:
         h = list(map(add, x, T._turn(h, b, j, j)))
-    return dict(zip(compress(product(letters, repeat=j), h), filter(None, h)))
+    return T._spell(h, b, j)
 
 
 def L_k(exp, bc, k):

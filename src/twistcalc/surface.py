@@ -82,6 +82,7 @@ def barcode_letters(bc, g):
     The one decoder of the barcode alphabet: +-(2i-1) becomes (i, +-1) for
     alpha_i and +-2i becomes (g+i, +-1) for beta_i.
     """
+    _check_shape(g)
     bc = validate_barcode(bc, g)
     letters = []
     for k in bc:
@@ -108,8 +109,7 @@ def commutator_barcode(u, v):
 
 def boundary_barcode(g):
     """The boundary word zeta as a barcode: product of beta_i^-1 alpha_i beta_i alpha_i^-1."""
-    if g < 1:
-        raise DomainError("genus must be >= 1")
+    _check_shape(g)
     return sum((commutator_barcode((-2 * i,), (2 * i - 1,)) for i in range(1, g + 1)), ())
 
 
@@ -142,7 +142,8 @@ def cyclic_reduce(bc, g=None):
 
 def barcode_homology(bc, g):
     """The homology class of the word encoded by a barcode."""
+    letters = barcode_letters(bc, g)  # checks g before coords is built
     coords = [0] * (2 * g)
-    for idx, sign in barcode_letters(bc, g):
+    for idx, sign in letters:
         coords[idx - 1] += sign
     return HVector(coords)

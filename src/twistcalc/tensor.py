@@ -10,11 +10,17 @@ The full-degree series are nested evaluations: ``exp_series`` and
 ``log_series`` run Horner's rule with each level at the truncation its outer
 factors leave it, and ``dynkin_defect`` left-nests brackets by block transposes.
 
+A dense block of degree n over b = 2g letters holds word w at its code, w's
+letters less 1 read as base-b digits, first most significant (uv: u b^|v| + v).
+``_code(w, b)`` is one code, ``_words(b, n)`` the words by code, ``_codes(b, n)``
+its inverse and ``_spell(block, b, n)`` the block's nonzero entries by word.
+
 ``Value`` is the immutable base of the package's value types, Tensor among them.
 """
 
 from fractions import Fraction
-from itertools import accumulate, compress
+from functools import cache
+from itertools import accumulate, compress, product as cartesian
 from math import factorial, gcd, lcm
 from operator import attrgetter, sub
 from sys import int_info
@@ -370,6 +376,27 @@ def antipode(x):
     return _tensor(x.g, x.trunc, num, x.den)
 
 
+def _code(w, b):
+    i = 0
+    for a in w:
+        i = i * b + a - 1
+    return i
+
+
+@cache
+def _words(b, n):
+    return list(cartesian(range(1, b + 1), repeat=n))
+
+
+@cache
+def _codes(b, n):
+    return dict(zip(_words(b, n), range(b**n)))
+
+
+def _spell(block, b, n):
+    return dict(zip(compress(_words(b, n), block), filter(None, block)))
+
+
 def _turn(block, b, k, n):
     """The dense degree-n block over b letters with the k-th letter of each
     word moved to the front: at a v s it holds block's v a s, |v| = k - 1."""
@@ -391,10 +418,9 @@ def dynkin_defect(x):
     """Sum over degrees n of (beta(x_n) - n * x_n), where beta left-nests brackets.
 
     Vanishes exactly when x is a Lie series degree by degree.  The degree-n
-    part is a dense list of (2g)^n numerators, indexed by the word in base 2g,
-    first letter most significant (1,024 ints at g = 2 and 7,776 at g = 3 for
-    n = 5).  beta_n = Phi_n ... Phi_2, Phi_k(v a s) = v a s - a v s for
-    |v a| = k: one _turn and one subtraction each.
+    part is a dense block of (2g)^n numerators (1,024 ints at g = 2 and
+    7,776 at g = 3 for n = 5).  beta_n = Phi_n ... Phi_2, Phi_k(v a s) =
+    v a s - a v s for |v a| = k: one _turn and one subtraction each.
     """
     if () in x.num:
         raise DomainError("dynkin_defect requires a zero constant term")
@@ -404,26 +430,17 @@ def dynkin_defect(x):
         n = len(w)
         if n > 1:  # beta is the identity in degree 1
             if n not in blocks:
-                blocks[n] = [0] * b**n
-            i = 0
-            for a in w:
-                i = i * b + a - 1
-            blocks[n][i] = c
+                blocks[n] = [0] * b**n, _codes(b, n)
+            block, codes = blocks[n]
+            block[codes[w]] = c
     num = {}
-    for n, block in blocks.items():
-        size = len(block)
+    for n, (block, _) in blocks.items():
         beta = block
         for k in range(2, n + 1):
             beta = list(map(sub, beta, _turn(beta, b, k, n)))
         scaled = list(map(n.__mul__, block))
-        if beta == scaled:
-            continue
-        for i in compress(range(size), map(sub, beta, scaled)):
-            c, w = beta[i] - scaled[i], []
-            for _ in range(n):
-                i, a = divmod(i, b)
-                w.append(a + 1)
-            num[tuple(reversed(w))] = c
+        if beta != scaled:
+            num.update(_spell(list(map(sub, beta, scaled)), b, n))
     return _tensor(x.g, x.trunc, num, x.den)
 
 

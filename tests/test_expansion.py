@@ -15,7 +15,6 @@ from conftest import (
 from oracles import theta_at, truncate
 from twistcalc.expansion import (
     SymplecticExpansion,
-    _words,
     default_expansion,
     log_theta,
     symplectic_defect,
@@ -25,6 +24,7 @@ from twistcalc.surface import BarcodeError, barcode_letters, commutator_barcode,
 from twistcalc.tensor import (
     DomainError,
     Tensor,
+    _words,
     antipode,
     bracket,
     combination,
@@ -129,6 +129,16 @@ def test_expansion_rejects_log_values_that_do_not_fit(g, source, n_alpha, n_beta
     exp = default_expansion(*source)
     with pytest.raises(DomainError, match=message):
         SymplecticExpansion(g, 5, exp.log_alpha[:n_alpha], exp.log_beta[:n_beta])
+
+
+def test_expansion_rejects_log_values_that_are_not_tensors():
+    # An int once died with a bare AttributeError on its missing genus.
+    with pytest.raises(DomainError, match=r"^log-value of generator 1 \(a1\) is not a Tensor$"):
+        SymplecticExpansion(2, 5, [1, 2], [3, 4])
+    exp = default_expansion(2, 5)
+    log_beta = [exp.log_beta[0], exp.log_beta[1].terms]
+    with pytest.raises(DomainError, match=r"^log-value of generator 4 \(b2\) is not a Tensor$"):
+        SymplecticExpansion(2, 5, exp.log_alpha, log_beta)
 
 
 @pytest.mark.parametrize("g", [1, 2, 3])

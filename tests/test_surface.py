@@ -74,16 +74,28 @@ def test_basis_index_is_an_int_in_range():
             HVector.basis(G, idx)
 
 
-def test_basis_checks_the_genus_before_the_index():
-    # As Tensor and default_expansion check it: True once built (1, 0), 2.0
-    # raised a bare TypeError and genus 0 reported the index out of range.
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda g: HVector.basis(g, 1),
+        boundary_barcode,
+        lambda g: barcode_letters((1,), g),
+        lambda g: barcode_homology((1,), g),
+    ],
+    ids=["basis", "boundary_barcode", "barcode_letters", "barcode_homology"],
+)
+def test_basis_checks_the_genus_before_the_index(call):
+    # As Tensor and default_expansion check it.  Before the check, True was
+    # read as genus 1 (HVector((1, 0)), the word (-2, 1, 2, -1)), 2.0 as genus
+    # 2 by barcode_letters and as a bare TypeError by the others, and genus 0
+    # as an index or a barcode entry out of range.
     for g, message in (
         (True, "genus True is not an int"),
         (2.0, "genus 2.0 is not an int"),
         (0, "genus must be >= 1"),
     ):
         with pytest.raises(DomainError, match="^%s$" % message):
-            HVector.basis(g, 1)
+            call(g)
 
 
 @pytest.mark.parametrize("coord", ["x", None, float("inf"), float("nan"), 1j], ids=repr)

@@ -12,7 +12,11 @@ from twistcalc.expansion import default_expansion, log_theta, theta
 from twistcalc.tensor import (
     DomainError,
     Tensor,
+    _code,
+    _codes,
     _log,
+    _spell,
+    _words,
     antipode,
     bracket,
     combination,
@@ -648,6 +652,27 @@ def test_dynkin_defect_matches_fraction_reference_at_other_bases(g):
     # Only degrees 2 and 5: the blocks of degrees 3 and 4 are absent.
     gapped = {letters(2): 3, letters(5): Fraction(-1, 2), letters(5): 1}
     assert not check(Tensor(g, trunc, gapped)).is_zero()
+
+
+@pytest.mark.parametrize("n", range(5))
+@pytest.mark.parametrize("b", [2, 4, 6])
+def test_word_codes_count_in_base_b_first_letter_most_significant(b, n):
+    # The one word layout of the dense blocks: _words lists the words of
+    # degree n by code, _codes inverts it and _code encodes one word alone.
+    assert _code((2, 1), 4) == 4
+    listed, codes = _words(b, n), _codes(b, n)
+    assert listed == sorted(word_product(range(1, b + 1), repeat=n))
+    assert len(codes) == b**n
+    for i, w in enumerate(listed):
+        assert codes[w] == i == _code(w, b)
+        assert i == sum((a - 1) * b ** (n - 1 - k) for k, a in enumerate(w))
+        # The one layout rule the other modules use: the code of a product.
+        k = n // 2
+        assert i == _code(w[:k], b) * b ** (n - k) + _code(w[k:], b)
+    rng = rng_for("spell-%d-%d" % (b, n))
+    block = [rng.choice([0, 0, -2, 1, 3]) for _ in range(b**n)]
+    assert _spell(block, b, n) == {w: c for w, c in zip(listed, block) if c}
+    assert _spell([0] * b**n, b, n) == {}
 
 
 def test_dynkin_defect_of_log_theta_at_genus_three():
