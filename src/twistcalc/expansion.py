@@ -5,6 +5,9 @@ monoid map from words in pi_1 (given as barcodes) to the truncated tensor
 algebra.  The value of an inverse letter is the antipode of its letter's
 value.  w -> m^|w| w is an algebra automorphism, so theta multiplies the letter
 values as ints scaled by it, m their common denominator, and divides once.
+The letter values are built on the first theta read and only through the
+degree it reads, so a command whose L_k fold reads theta to degree k - 2
+expands no higher degree.
 Inside theta a word is its code in tensor's word layout, so the product of
 words u, v is the int u (2g)^|v| + v; each word theta returns is spelled once,
 from tensor's cached word list.
@@ -23,10 +26,10 @@ class SymplecticExpansion:
     g of each, of genus g and truncation trunc; each l is its generator in
     degree 1, so that theta_1 is the homology class, and satisfies
     antipode(l) = -l, as every Lie series does, so that exp(-l), the inverse
-    letter's value, is antipode(exp(l)).  The letter values are built once,
-    scaled by m^|w|, split by degree and held as (code, value) pairs, in one
-    pass over each exp(l) that also writes its antipode, at the reversed
-    word's code; setting an attribute does not rebuild them.
+    letter's value, is antipode(exp(l)).  Every check runs here; the letter
+    values are built by the first theta, only through the degree it reads
+    (_letters), from the log-values as checked here, so rebinding or changing
+    log_alpha or log_beta does not reach theta.
     """
 
     def __init__(self, g, trunc, log_alpha, log_beta):
@@ -37,7 +40,6 @@ class SymplecticExpansion:
         self.log_beta = list(log_beta)
         if len(self.log_alpha) != g or len(self.log_beta) != g:
             raise T.DomainError("expected %d alpha and %d beta log-values" % (g, g))
-        values = []
         for idx, l in enumerate(self.log_alpha + self.log_beta, start=1):
             what = "log-value of generator %d (%s)" % (idx, T.generator_name(g, idx))
             if not isinstance(l, T.Tensor):
@@ -50,28 +52,52 @@ class SymplecticExpansion:
                 raise T.DomainError(what + " has a degree-1 part other than its generator")
             if T.antipode(l) != -l:
                 raise T.DomainError(what + " fails antipode(l) = -l, as no Lie series does")
-            values.append(T.exp_series(l))
-        # Every constant term is exactly 1 and every den divides m, so a value
-        # scaled by m^|w| is m^d // den times its numerator in degree d >= 1,
-        # an int; the degree-1 part of each is its generator alone, scaled to m.
-        self._m = m = lcm(*(t.den for t in values))
-        b = 2 * g
+        # theta reads the values as checked here, not the public lists.
+        self._logs = tuple(self.log_alpha + self.log_beta)
         self._table = {}
-        for k in range(1, b + 1):
-            ((idx, _),) = barcode_letters((k,), g)
-            t = values[idx - 1]
-            scale = [m**d // t.den for d in range(trunc + 1)]
-            pos = [[(0, 1)]] + [[] for _ in range(trunc)]
-            neg = [[(0, 1)]] + [[] for _ in range(trunc)]
-            for w, c in t.num.items():
-                d = len(w)
-                if not d:
-                    continue  # the constant 1, in place above
-                c *= scale[d]
-                pos[d].append((T._code(w, b), c))
-                neg[d].append((T._code(w[::-1], b), -c if d % 2 else c))
-            self._table[k] = pos
-            self._table[-k] = neg
+        self._m = 1
+
+
+def _letters(exp, n):
+    """exp's letter table through degree n or higher, and its m.
+
+    The values exp(l) of the checked log-values lowered to n, m their common
+    denominator, scaled by m^|w|, split by degree and held as (code, value)
+    pairs, in one pass over each exp(l) that also writes its antipode, at the
+    reversed word's code.  The one table is kept on exp and rebuilt only for
+    a read of a higher degree; a lower read uses the larger table.
+    """
+    table = exp._table
+    if len(table.get(1, ())) > n:
+        return table, exp._m
+    g = exp.g
+    values = [
+        T.exp_series(T._tensor(g, n, {w: c for w, c in l.num.items() if len(w) <= n}, l.den))
+        for l in exp._logs
+    ]
+    # Every constant term is exactly 1 and every den divides m, so a value
+    # scaled by m^|w| is m^d // den times its numerator in degree d >= 1,
+    # an int; the degree-1 part of each is its generator alone, scaled to m.
+    m = lcm(*(t.den for t in values))
+    b = 2 * g
+    table = {}
+    for k in range(1, b + 1):
+        ((idx, _),) = barcode_letters((k,), g)
+        t = values[idx - 1]
+        scale = [m**d // t.den for d in range(n + 1)]
+        pos = [[(0, 1)]] + [[] for _ in range(n)]
+        neg = [[(0, 1)]] + [[] for _ in range(n)]
+        for w, c in t.num.items():
+            d = len(w)
+            if not d:
+                continue  # the constant 1, in place above
+            c *= scale[d]
+            pos[d].append((T._code(w, b), c))
+            neg[d].append((T._code(w[::-1], b), -c if d % 2 else c))
+        table[k] = pos
+        table[-k] = neg
+    exp._table, exp._m = table, m
+    return table, m
 
 
 def default_expansion(g, trunc=5):
@@ -117,11 +143,12 @@ def _theta(exp, bc, n):
     parts[p] y_(d-p), where the product of codes u, v is u (2g)^|v| + v; y_1
     is the letter's one word x, so the term p = d-1 is u 2g + x.  Each
     surviving code is spelled once, through T._words, at the end."""
+    table, m = _letters(exp, n)
     b = 2 * exp.g
     shift = [b**e for e in range(n + 1)]
     parts = [{0: 1}] + [{} for _ in range(n)]
     for k in bc:
-        y = exp._table[k]
+        y = table[k]
         ((x, e),) = y[1]
         for d in range(n, 1, -1):
             acc = parts[d]
@@ -138,7 +165,7 @@ def _theta(exp, bc, n):
                 w = u * b + x
                 acc[w] = acc.get(w, 0) + a * e
         parts[1][x] = parts[1].get(x, 0) + e
-    s = [exp._m ** (n - d) for d in range(n + 1)]
+    s = [m ** (n - d) for d in range(n + 1)]
     num = {}
     for d, part in enumerate(parts):
         words, f = T._words(b, d), s[d]

@@ -20,7 +20,14 @@ from twistcalc.expansion import (
     symplectic_defect,
     theta,
 )
-from twistcalc.surface import BarcodeError, barcode_letters, commutator_barcode, free_reduce
+from twistcalc.psi_data import psi_twist_entries
+from twistcalc.surface import (
+    BarcodeError,
+    barcode_letters,
+    boundary_barcode,
+    commutator_barcode,
+    free_reduce,
+)
 from twistcalc.tensor import (
     DomainError,
     Tensor,
@@ -200,33 +207,73 @@ def test_log_values_match_the_pinned_formulas(g):
 @pytest.mark.parametrize("make", [default_expansion, custom_expansion])
 @pytest.mark.parametrize("g", [1, 2, 3, 4])
 def test_letter_table_matches_per_letter_values(make, g):
-    # Each letter's value is exp_series of its log-value and each inverse
+    # A read of theta at degree n builds the table through n: each letter's
+    # value is exp_series of its log-value lowered to n and each inverse
     # letter's the antipode of that, as tensors; the table holds them scaled
-    # by m^|w|, split by degree and keyed by each word's base-2g code (spelled
-    # here through _words), in the order of the value's terms.  Degree 1 is
-    # the letter's one word, as theta's degree-1 step takes it.
+    # by m^|w|, m their common denominator at n, split by degree and keyed by
+    # each word's base-2g code (spelled here through _words), in the order of
+    # the value's terms.  Degree 1 is the letter's one word, as theta's
+    # degree-1 step takes it.  Reading n = 1..trunc in turn on one expansion
+    # rebuilds the table at every degree.
     trunc = 5
     exp = make(g, trunc)
-    full = {}
-    for idx, l in enumerate(exp.log_alpha + exp.log_beta, start=1):
-        full[idx, 1] = exp_series(l)
-        full[idx, -1] = antipode(full[idx, 1])
-    m = lcm(*(t.den for t in full.values()))
-    assert exp._m == m
-    assert sorted(exp._table) == [k for k in range(-2 * g, 2 * g + 1) if k]
-    for k in exp._table:
-        (key,) = barcode_letters((k,), g)
-        t = full[key]
-        want = [
-            [(w, c * m**d // t.den) for w, c in t.num.items() if len(w) == d]
-            for d in range(trunc + 1)
-        ]
-        got = [
-            [(_words(2 * g, d)[code], c) for code, c in part]
-            for d, part in enumerate(exp._table[k])
-        ]
-        assert got == want
-        assert want[1] == [((key[0],), key[1] * m)]
+    for n in range(1, trunc + 1):
+        theta_at(exp, (1,), n)
+        full = {}
+        for idx, l in enumerate(exp.log_alpha + exp.log_beta, start=1):
+            full[idx, 1] = exp_series(Tensor(g, n, dict(l.terms)))
+            full[idx, -1] = antipode(full[idx, 1])
+        m = lcm(*(t.den for t in full.values()))
+        assert exp._m == m
+        assert sorted(exp._table) == [k for k in range(-2 * g, 2 * g + 1) if k]
+        for k in exp._table:
+            (key,) = barcode_letters((k,), g)
+            t = full[key]
+            want = [
+                [(w, c * m**d // t.den) for w, c in t.num.items() if len(w) == d]
+                for d in range(n + 1)
+            ]
+            got = [
+                [(_words(2 * g, d)[code], c) for code, c in part]
+                for d, part in enumerate(exp._table[k])
+            ]
+            assert got == want
+            assert want[1] == [((key[0],), key[1] * m)]
+
+
+@pytest.mark.parametrize("g", [2, 3])
+def test_theta_at_each_degree_is_independent_of_read_order(g):
+    # The table is built through the degree of the first read and rebuilt
+    # only for a higher one: read ascending, it is rebuilt at every degree;
+    # read descending, every lower degree is taken from the degree-5 table,
+    # whose m is that of degree 5.
+    bcs = [e.barcode for e in psi_twist_entries()] + [boundary_barcode(g)]
+    reference = default_expansion(g, 5)
+    want = {bc: theta(reference, bc) for bc in bcs}
+    for degrees in (range(2, 6), range(5, 1, -1)):
+        exp = default_expansion(g, 5)
+        for n in degrees:
+            for bc in bcs:
+                assert theta_at(exp, bc, n) == Tensor(g, n, dict(want[bc].terms))
+
+
+def test_theta_reads_the_log_values_as_checked():
+    # The table is built at the first theta, after the constructor's checks,
+    # from the log-values it checked: rebinding or changing the public lists
+    # first, here to values the constructor refuses (a constant term, a
+    # doubled generator), changes no theta.  The constructor itself raises
+    # each of its DomainErrors, as the tests above show, before any theta.
+    g = 2
+    reference = default_expansion(g, 5)
+    exp = default_expansion(g, 5)
+    _, b = gens(g, 5)
+    exp.log_alpha = [l + Tensor(g, 5, {(): 1}) for l in exp.log_alpha]
+    exp.log_beta[0] = exp.log_beta[0] + b[0]
+    with pytest.raises(DomainError, match=r"generator 1 \(a1\) has a constant term$"):
+        SymplecticExpansion(g, 5, exp.log_alpha, exp.log_beta)
+    for bc in ((1,), (-3,), (1, 3, -1, -3), boundary_barcode(g)):
+        for n in (2, 5):
+            assert theta_at(exp, bc, n) == theta_at(reference, bc, n)
 
 
 def test_expansion_rejects_bad_arguments():

@@ -134,6 +134,18 @@ def test_L_k_checks_its_letters(exp_g2, bc):
         L_k(exp_g2, bc, 4)
 
 
+def test_fold_builds_letter_values_only_through_the_degree_it_reads():
+    # L_k reads theta through degree k - 2, so casson's k = 4 expands the
+    # letters through degree 2 and verify-psi's k = 5 through degree 3; no
+    # command that folds psi expands degrees 4 and 5 of the letter values.
+    exp = default_expansion(G, 5)
+    assert exp._table == {}
+    for k in (4, 5):
+        twist_sum(exp, psi_twist_entries(), k)
+        assert sorted(exp._table) == [i for i in range(-2 * G, 2 * G + 1) if i]
+        assert {len(y) - 1 for y in exp._table.values()} == {k - 2}
+
+
 def test_twist_sum_reads_theta_of_cyclically_reduced_barcodes(exp_g2, monkeypatch):
     # psi's 16 barcodes have 224 letters; their cyclic reductions have 176.
     entries = psi_twist_entries()
