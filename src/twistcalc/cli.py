@@ -130,7 +130,7 @@ def cmd_verify_psi(args):
     t2, t3 = twist_sum(exp, entries, exp.trunc)
     report = twist_audit(entries, t2)
     rows = (
-        ("tau2_psi_vanishes", t2, Tensor.zero(P.GENUS, exp.trunc)),
+        ("tau2_psi_vanishes", t2, Tensor(P.GENUS, exp.trunc)),
         ("tau3_matches_tree_sum", t3, eta(P.expected_tau3())),
         ("tau3_matches_compact_form", t3, eta(P.expected_tau3_compact())),
         ("bracket_decomposition", P.bracket_decomposition_value(), t3),

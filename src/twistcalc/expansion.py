@@ -114,11 +114,11 @@ def default_expansion(g, trunc=5):
     half = Fraction(1, 2)
     twelfth = Fraction(1, 12)
     quarter = Fraction(1, 4)
-    a = [T.Tensor.generator(g, trunc, i) for i in range(1, g + 1)]
-    b = [T.Tensor.generator(g, trunc, g + i) for i in range(1, g + 1)]
+    a = [T.Tensor(g, trunc, {(i,): 1}) for i in range(1, g + 1)]
+    b = [T.Tensor(g, trunc, {(g + i,): 1}) for i in range(1, g + 1)]
     log_alpha = []
     log_beta = []
-    lower = T.Tensor.zero(g, trunc)  # sum_{j<i} [a_j,b_j]
+    lower = T.Tensor(g, trunc)  # sum_{j<i} [a_j,b_j]
 
     def lin(*terms):
         return T.combination(g, trunc, terms)
@@ -191,10 +191,10 @@ def symplectic_defect(exp):
     Returns a list of (degree, nonzero homogeneous part) pairs.
     """
     g, trunc = exp.g, exp.trunc
-    omega_sum = T.Tensor.zero(g, trunc)
+    omega_sum = T.Tensor(g, trunc)
     for i in range(1, g + 1):
         omega_sum = omega_sum + T.bracket(
-            T.Tensor.generator(g, trunc, i), T.Tensor.generator(g, trunc, g + i)
+            T.Tensor(g, trunc, {(i,): 1}), T.Tensor(g, trunc, {(g + i,): 1})
         )
     diff = theta(exp, boundary_barcode(g)) - T.exp_series(omega_sum)
     defects = []

@@ -40,11 +40,15 @@ class HVector(Value):
         return len(self.coords)
 
     def __add__(self, other):
+        if not isinstance(other, HVector):
+            return NotImplemented
         if len(self.coords) != len(other.coords):
             raise DomainError("HVector length mismatch")
         return HVector(u + v for u, v in zip(self.coords, other.coords))
 
     def __sub__(self, other):
+        if not isinstance(other, HVector):
+            return NotImplemented
         return self + (-other)
 
     def __neg__(self):

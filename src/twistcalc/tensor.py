@@ -15,14 +15,16 @@ letters less 1 read as base-b digits, first most significant (uv: u b^|v| + v).
 ``_code(w, b)`` is one code, ``_words(b, n)`` the words by code, ``_codes(b, n)``
 its inverse and ``_spell(block, b, n)`` the block's nonzero entries by word.
 
-``Value`` is the immutable base of the package's value types, Tensor among them.
+``Value`` is the immutable base of the package's value types, Tensor among them:
+plain methods over one tuple of the fields, ``_key()``, give equality, the hash,
+pickling and ``repr``.
 """
 
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, compress, product as cartesian
 from math import factorial, gcd, lcm
-from operator import attrgetter, sub
+from operator import sub
 from sys import int_info
 
 
@@ -34,40 +36,22 @@ class Value:
     """An immutable value, equal, hashed, pickled and printed by its fields.
 
     The fields are the subclass's ``__slots__``, stored by its ``__init__``
-    through ``object.__setattr__``.  ``_key(obj)``, ``==`` and the hash are
-    made once per class around one attrgetter; ``_key`` gives a tuple (a
-    1-tuple for one field), so hash(obj) == hash(fields).  A class's own
-    ``__hash__`` is kept.
+    through ``object.__setattr__``; ``_key()`` is their tuple.  Values are
+    equal when they share a class and a key, and hash(obj) == hash(_key()).
     """
 
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        get = attrgetter(*cls.__slots__)
-        if len(cls.__slots__) > 1:
-            key = get
+    def _key(self):
+        return tuple([getattr(self, name) for name in self.__slots__])
 
-            def __hash__(self):
-                return hash(get(self))
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
 
-        else:
-
-            def key(obj):
-                return (get(obj),)
-
-            def __hash__(self):
-                return hash((get(self),))
-
-        def __eq__(self, other):
-            if other.__class__ is not self.__class__:
-                return NotImplemented
-            return get(self) == get(other)
-
-        cls._key = staticmethod(key)
-        cls.__eq__ = __eq__
-        if "__hash__" not in cls.__dict__:
-            cls.__hash__ = __hash__
+    def __hash__(self):
+        return hash(self._key())
 
     def __setattr__(self, name, value=None):
         raise AttributeError("%s is immutable" % self.__class__.__name__)
@@ -75,10 +59,10 @@ class Value:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        return (self.__class__, self._key(self))
+        return (self.__class__, self._key())
 
     def __repr__(self):
-        fields = ", ".join(map("%s=%r".__mod__, zip(self.__slots__, self._key(self))))
+        fields = ", ".join(map("%s=%r".__mod__, zip(self.__slots__, self._key())))
         return "%s(%s)" % (self.__class__.__name__, fields)
 
 
@@ -97,6 +81,8 @@ class Tensor(Value):
     non-number raises DomainError) and drops zero coefficients and overlong
     words, so callers pass raw accumulated sums.  The operations of the
     package build their results through the trusted ``_tensor`` instead.
+    ``Tensor(g, trunc)`` is zero and ``Tensor(g, trunc, {(i,): 1})`` is
+    generator i.
     """
 
     __slots__ = ("g", "trunc", "num", "den")
@@ -123,16 +109,6 @@ class Tensor(Value):
         """A new dict from words to their nonzero Fraction coefficients."""
         return {w: Fraction(c, self.den) for w, c in self.num.items()}
 
-    # -- constructors -------------------------------------------------
-
-    @classmethod
-    def zero(cls, g, trunc):
-        return cls(g, trunc)
-
-    @classmethod
-    def generator(cls, g, trunc, idx):
-        return cls(g, trunc, {(idx,): 1})
-
     # -- basic structure ----------------------------------------------
 
     def is_zero(self):
@@ -145,7 +121,7 @@ class Tensor(Value):
         return "Tensor(g=%d, trunc=%d, %s)" % (self.g, self.trunc, render(self))
 
     def __reduce__(self):
-        return (_tensor, self._key(self))
+        return (_tensor, self._key())
 
     # -- linear structure ---------------------------------------------
 

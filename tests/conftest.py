@@ -41,8 +41,8 @@ def assert_canonical(t):
 
 
 def gens(g, trunc):
-    a = [Tensor.generator(g, trunc, i) for i in range(1, g + 1)]
-    b = [Tensor.generator(g, trunc, g + i) for i in range(1, g + 1)]
+    a = [Tensor(g, trunc, {(i,): 1}) for i in range(1, g + 1)]
+    b = [Tensor(g, trunc, {(g + i,): 1}) for i in range(1, g + 1)]
     return a, b
 
 

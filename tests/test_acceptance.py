@@ -222,11 +222,9 @@ def test_criterion_10f_log_theta_primitive(exp):
 
 def test_criterion_10g_symplectic_annihilation(exp):
     t0 = time.perf_counter()
-    target = Tensor.zero(G, N)
+    target = Tensor(G, N)
     for i in (1, 2):
-        target = target + bracket(
-            Tensor.generator(G, N, i), Tensor.generator(G, N, G + i)
-        )
+        target = target + bracket(Tensor(G, N, {(i,): 1}), Tensor(G, N, {(G + i,): 1}))
     for tw in P.psi_twist_entries():
         for k in (4, 5):
             assert apply_derivation(L_k(exp, tw.barcode, k), target).is_zero()

@@ -181,7 +181,7 @@ def test_log_values_match_the_pinned_formulas(g):
     exp = default_expansion(g, trunc)
     a, b = gens(g, trunc)
     half, twelfth, quarter = Fraction(1, 2), Fraction(1, 12), Fraction(1, 4)
-    lower = Tensor.zero(g, trunc)
+    lower = Tensor(g, trunc)
     for i in range(g):
         ab = bracket(a[i], b[i])
         alpha = combination(
@@ -374,8 +374,8 @@ def test_log_theta_of_generator(exp_g2):
 
 def test_log_theta_commutator_degree_two(exp_g2):
     # [alpha_1, beta_1^-1]: the degree-2 part is [u, v] with u=a1, v=-b1.
-    a1 = Tensor.generator(2, 5, 1)
-    b1 = Tensor.generator(2, 5, 3)
+    a1 = Tensor(2, 5, {(1,): 1})
+    b1 = Tensor(2, 5, {(3,): 1})
     l = log_theta(exp_g2, commutator_barcode([1], [-2]))
     assert extract(l, 2) == bracket(b1, a1)
 

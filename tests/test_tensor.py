@@ -35,7 +35,7 @@ N = 5
 
 
 def gen(idx, g=G, trunc=N):
-    return Tensor.generator(g, trunc, idx)
+    return Tensor(g, trunc, {(idx,): 1})
 
 
 def words(terms, g=G, trunc=N):
@@ -106,7 +106,7 @@ def test_equality_compares_genus_and_truncation():
     assert x == words({(A1,): Fraction(2, 2)})
     assert x != words({(A1,): 1}, g=3)
     assert x != words({(A1,): 1}, trunc=4)
-    assert Tensor.zero(G, N) != Tensor.zero(3, N)
+    assert Tensor(G, N) != Tensor(3, N)
 
 
 def test_constructor_checks_the_indices_of_every_word():
@@ -281,11 +281,11 @@ def test_extract_truncate():
 
 
 def test_exp_of_zero():
-    assert exp_series(Tensor.zero(G, N)) == words({(): 1})
+    assert exp_series(Tensor(G, N)) == words({(): 1})
 
 
 def test_log_of_one():
-    assert log_series(words({(): 1})) == Tensor.zero(G, N)
+    assert log_series(words({(): 1})) == Tensor(G, N)
 
 
 def test_exp_series_definition():
@@ -494,10 +494,10 @@ def test_kernel_matches_fraction_reference(g, trunc):
         for got, want in cases:
             assert_canonical(got)
             assert dict(got.terms) == ref_clean(want, trunc)
-    assert combination(g, trunc, iter(())) == Tensor.zero(g, trunc)
+    assert combination(g, trunc, iter(())) == Tensor(g, trunc)
     for other, message in (
-        (Tensor.zero(g + 1, trunc), "tensors live over different genera"),
-        (Tensor.zero(g, trunc + 1), "truncation degrees differ: %d vs %d" % (trunc, trunc + 1)),
+        (Tensor(g + 1, trunc), "tensors live over different genera"),
+        (Tensor(g, trunc + 1), "truncation degrees differ: %d vs %d" % (trunc, trunc + 1)),
     ):
         with pytest.raises(DomainError, match="^%s$" % message):
             combination(g, trunc, [(1, Tensor(g, trunc, {(): 1})), (0, other)])
@@ -693,7 +693,7 @@ def test_dynkin_defect_of_log_theta_at_genus_three():
 
 
 def test_render_zero():
-    assert render(Tensor.zero(G, N)) == "0"
+    assert render(Tensor(G, N)) == "0"
 
 
 def test_render_sorted_and_signed():

@@ -43,6 +43,60 @@ CASES = [
 IDS = [case[0].__name__ for case in CASES]
 
 
+class One(Value):
+    """A throwaway value type of one field: its contract is all the base's."""
+
+    __slots__ = ("item",)
+
+    def __init__(self, item):
+        object.__setattr__(self, "item", item)
+
+
+class Three(Value):
+    """A throwaway value type of three fields: its contract is all the base's."""
+
+    __slots__ = ("x", "y", "z")
+
+    def __init__(self, x, y, z):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
+
+
+# (throwaway class, field values, pinned repr, a value of another class with
+# the same field values)
+BASE_CASES = [
+    (One, ((1, 0, 0, 0),), "One(item=(1, 0, 0, 0))", HVector((1, 0, 0, 0))),
+    (
+        Three,
+        (1, 1, (1, -2, -1, 2)),
+        "Three(x=1, y=1, z=(1, -2, -1, 2))",
+        TwistEntry(1, 1, (1, -2, -1, 2)),
+    ),
+]
+
+
+@pytest.mark.parametrize("cls, values, text, other", BASE_CASES, ids=["One", "Three"])
+def test_the_base_alone_gives_the_contract(cls, values, text, other):
+    obj = cls(*values)
+    twin = cls(*values)
+    assert obj == twin and not obj != twin
+    assert obj != cls(*values[:-1], "z")
+    assert obj != other and other != obj
+    assert obj != values and obj.__eq__(values) is NotImplemented
+    assert hash(obj) == hash(twin) == hash(values)
+    assert len({obj, twin}) == 1
+    assert repr(obj) == text
+    for copied in (pickle.loads(pickle.dumps(obj)), copy.copy(obj), copy.deepcopy(obj)):
+        assert copied == obj and copied.__class__ is cls
+    for name, value in zip(cls.__slots__, values):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, value)
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+        assert getattr(obj, name) == value
+
+
 @pytest.mark.parametrize("cls, names, values, text", CASES, ids=IDS)
 def test_fields_cannot_be_set_or_deleted(cls, names, values, text):
     obj = cls(*values)
@@ -99,6 +153,15 @@ def test_distinct_fields_compare_unequal():
     assert HVector((1, 0, 0, 0)) != HVector((0, 1, 0, 0))
     assert tree(A1, B1, A1) != tree(B1, A1, A1)
     assert HVector((1, 0, 0, 0)) != tree(A1, B1, A1)
+
+
+def test_hvector_sums_refuse_other_types():
+    v = HVector((1, 0))
+    for other in (1, Tensor(1, 2, {(1,): 1})):
+        with pytest.raises(TypeError):
+            v + other
+        with pytest.raises(TypeError):
+            v - other
 
 
 def test_hvector_coords_become_a_tuple_of_ints():
