@@ -17,7 +17,7 @@ from fractions import Fraction
 from math import lcm
 
 from . import tensor as T
-from .surface import barcode_letters, boundary_barcode, validate_barcode
+from .surface import _alphabet, boundary_barcode, validate_barcode
 
 
 class SymplecticExpansion:
@@ -80,10 +80,10 @@ def _letters(exp, n):
     # an int; the degree-1 part of each is its generator alone, scaled to m.
     m = lcm(*(t.den for t in values))
     b = 2 * g
+    alphabet = _alphabet(g)
     table = {}
     for k in range(1, b + 1):
-        ((idx, _),) = barcode_letters((k,), g)
-        t = values[idx - 1]
+        t = values[alphabet[k][0] - 1]
         scale = [m**d // t.den for d in range(n + 1)]
         pos = [[(0, 1)]] + [[] for _ in range(n)]
         neg = [[(0, 1)]] + [[] for _ in range(n)]

@@ -5,8 +5,9 @@ barcode; twist_sum gives sum c L_4 (tau_2) and sum c L_5 (tau_3 when tau_2
 vanishes) of a signed twist list from one log theta per twist.  Both are one
 int fold that sums the twists' products before N and turns the middle
 square l_{k/2}^2 only k/2 times (on dense blocks when a degree's products
-outnumber its words); L_4 and L_5 take no series, as
-log theta = theta - 1 below degree 4.
+outnumber its words).  L_4 reads l_2 off the barcode's letters, with no
+theta and no letter table, as it is the same for every expansion; L_5 takes
+no series, as log theta = theta - 1 below degree 4.
 A homogeneous tensor is itself a derivation, read as a Hom(H, .) map
 through the duality x -> omega(x, -).
 """
@@ -16,7 +17,7 @@ from operator import add
 
 from . import tensor as T
 from .expansion import _theta
-from .surface import cyclic_reduce, validate_barcode
+from .surface import _alphabet, cyclic_reduce, validate_barcode
 
 
 class TwistEntry(T.Value):
@@ -37,23 +38,58 @@ class TwistEntry(T.Value):
         object.__setattr__(self, "barcode", validate_barcode(barcode))
 
 
+def _ell2(g, bc):
+    """l_1 + l_2 of a checked genus-g barcode read off its letters, as
+    (int numerators, den 2), for any expansion.
+
+    With x_j the signed letters, theta_2 = sum_j l_2(x_j) + sum_j x_j^2/2 +
+    sum_{i<j} x_i x_j.  The first sum is the homology class paired with the
+    degree-2 log-values and the rest is (1/2)(sum_j x_j)^2 plus
+    (1/2) sum_{i<j} [x_i, x_j]; on a null-homologous word only the brackets
+    stay, and l_2 = theta_2.  One pass keeps the prefix class P (the
+    degree-1 part, l_1, at the end) and adds e P_a to acc[a, x] for each
+    letter (x, e); 2 l_2 = acc - acc^T.
+    """
+    alphabet = _alphabet(g)
+    prefix, acc = {}, {}
+    for k in bc:
+        x, e = alphabet[k]
+        for a, p in prefix.items():
+            w = (a, x)
+            acc[w] = acc.get(w, 0) + e * p
+        p = prefix.get(x, 0) + e
+        if p:
+            prefix[x] = p
+        else:
+            del prefix[x]
+    num = {(x,): 2 * p for x, p in prefix.items()}
+    for (a, x), v in acc.items():
+        num[a, x] = num.get((a, x), 0) + v
+        num[x, a] = num.get((x, a), 0) - v
+    return num, 2
+
+
 def _fold(exp, twists, k):
     """[sum c L_j for j = 4..k] over (int c, checked barcode) pairs, as in L_k:
-    l = log theta on ints (theta - 1 for k <= 5), reduced by one gcd and
-    bucketed by degree; each degree is summed in int dicts over one den, and
-    N turns its nonzero entries, unless its products outnumber its (2g)^j
-    words (_dense_cyclic).  As l_1 = theta_1, the barcode is
-    null-homologous exactly when l has no degree-1 word.
+    l = log theta on ints (l_1 + l_2 off the letters for k = 4, theta - 1
+    for k = 5), reduced by one gcd and bucketed by degree; each degree is
+    summed in int dicts over one den, and N turns its nonzero entries, unless
+    its products outnumber its (2g)^j words (_dense_cyclic).  As l_1 =
+    theta_1, the barcode is null-homologous exactly when l has no degree-1
+    word.
     """
     if type(k) is not int or not 4 <= k <= exp.trunc:
         raise T.DomainError("L_k needs 4 <= k <= truncation degree")
     n = k - 2
     logs = []
     for c, bc in twists:
-        l, den = _theta(exp, bc, n)
-        del l[()]
-        if n > 3:
-            l, den = T._log(l, den, n)
+        if n == 2:
+            l, den = _ell2(exp.g, bc)
+        else:
+            l, den = _theta(exp, bc, n)
+            del l[()]
+            if n > 3:
+                l, den = T._log(l, den, n)
         q = gcd(den, *l.values())
         parts = [[] for _ in range(n + 1)]
         for w, v in l.items():
@@ -125,8 +161,9 @@ def L_k(exp, bc, k):
     """Degree-k part of the Kawazumi-Kuno tensor for a null-homologous barcode.
 
     It is (1/2) sum_{i=2}^{k-2} N(l_i l_{k-i}), l_i the degree-i part of
-    l = log(theta(bc)), so theta is evaluated at degree k-2; as theta_1 = 0,
-    (theta - 1)^2 starts in degree 4, so log is taken only for k >= 6.  As
+    l = log(theta(bc)), so l is read at degree k-2: off the letters for
+    k = 4 (_ell2), else from theta; as theta_1 = 0, (theta - 1)^2 starts in
+    degree 4, so log is taken only for k >= 6.  As
     N(xy) = N(yx) for homogeneous x, y, the summands i and k-i pair up; for
     |u| = |v| = i the turns r >= i of uv are the turns r < i of vu, so the
     symmetric square needs no 1/2: with rot^r moving r first letters last,
@@ -138,7 +175,7 @@ def L_k(exp, bc, k):
 def twist_sum(exp, twists, k):
     """The signed sums [sum c L_4, ..., sum c L_k] over a twist list.
 
-    Each log theta is evaluated once, at degree k-2, of the cyclically reduced
+    Each log theta is read once, at degree k-2, of the cyclically reduced
     barcode: L_k is conjugation-invariant, as N kills the commutators that
     conjugating l (l_1 = 0) adds to l^2.  The first sum is tau_2 of the
     product; the second, sum c L_5, is its tau_3 only when the first vanishes.

@@ -4,6 +4,8 @@ A barcode is a sequence of nonzero ints k with |k| <= 2g; the entry
 +-(2i-1) stands for alpha_i^{+-1} and +-2i for beta_i^{+-1}.
 """
 
+from functools import cache
+
 from .tensor import DomainError, Value, _check_shape
 
 
@@ -87,7 +89,11 @@ def barcode_letters(bc, g):
     alpha_i and +-2i becomes (g+i, +-1) for beta_i.
     """
     _check_shape(g)
-    bc = validate_barcode(bc, g)
+    return _barcode_letters(validate_barcode(bc, g), g)
+
+
+def _barcode_letters(bc, g):
+    """barcode_letters of a barcode already checked for genus g."""
     letters = []
     for k in bc:
         sign = 1 if k > 0 else -1
@@ -97,6 +103,13 @@ def barcode_letters(bc, g):
         else:
             letters.append((g + m // 2, sign))
     return letters
+
+
+@cache
+def _alphabet(g):
+    """{k: (index, sign)} for every letter k of genus g, decoded once."""
+    ks = [k for k in range(-2 * g, 2 * g + 1) if k]
+    return dict(zip(ks, _barcode_letters(ks, g)))
 
 
 def inverse_barcode(bc):

@@ -11,11 +11,12 @@ from conftest import (
 )
 from oracles import morita_tau2, theta_at
 from twistcalc.diagrams import eta, odot
-from twistcalc.expansion import _theta, default_expansion, theta
+from twistcalc.expansion import SymplecticExpansion, _theta, default_expansion, theta
 from twistcalc.johnson import (
     L_k,
     TwistEntry,
     _dense_cyclic as dense_cyclic,
+    _ell2,
     apply_derivation,
     derivation_bracket,
     twist_sum,
@@ -122,8 +123,13 @@ def test_twist_sum_checks_each_barcode_once(exp_g2, monkeypatch):
 
     for module in (surface, expansion, johnson):
         monkeypatch.setattr(module, "validate_barcode", counting_validate_barcode, raising=False)
-    twist_sum(exp_g2, entries, 5)
-    assert calls == [e.barcode for e in entries]
+    # Also with a cold alphabet and letter table: decoding the alphabet checks
+    # no barcode.
+    surface._alphabet.cache_clear()
+    for k in (4, 5):
+        calls.clear()
+        twist_sum(default_expansion(G, N), entries, k)
+        assert calls == [e.barcode for e in entries]
 
 
 @pytest.mark.parametrize("bc", [(1, 2, 0, -1, -2), (1, 2, -1, -2, 9, -9)], ids=["zero", "nine"])
@@ -133,15 +139,18 @@ def test_L_k_checks_its_letters(exp_g2, bc):
 
 
 def test_fold_builds_letter_values_only_through_the_degree_it_reads():
-    # L_k reads theta through degree k - 2, so casson's k = 4 expands the
-    # letters through degree 2 and verify-psi's k = 5 through degree 3; no
-    # command that folds psi expands degrees 4 and 5 of the letter values.
+    # L_4 reads l_2 off the letters, so casson's k = 4 expands no letter
+    # value; L_5 reads theta through degree 3, so verify-psi's k = 5 expands
+    # the letters through degree 3; no command that folds psi expands degrees
+    # 4 and 5 of the letter values.
     exp = default_expansion(G, 5)
     assert exp._table == {}
-    for k in (4, 5):
-        twist_sum(exp, psi_twist_entries(), k)
-        assert sorted(exp._table) == [i for i in range(-2 * G, 2 * G + 1) if i]
-        assert {len(y) - 1 for y in exp._table.values()} == {k - 2}
+    twist_sum(exp, psi_twist_entries(), 4)
+    L_k(exp, S1, 4)
+    assert exp._table == {}
+    twist_sum(exp, psi_twist_entries(), 5)
+    assert sorted(exp._table) == [i for i in range(-2 * G, 2 * G + 1) if i]
+    assert {len(y) - 1 for y in exp._table.values()} == {3}
 
 
 def test_twist_sum_reads_theta_of_cyclically_reduced_barcodes(exp_g2, monkeypatch):
@@ -158,6 +167,69 @@ def test_twist_sum_reads_theta_of_cyclically_reduced_barcodes(exp_g2, monkeypatc
     twist_sum(exp_g2, entries, 5)
     assert read == [cyclic_reduce(e.barcode) for e in entries]
     assert sum(map(len, read)) == 176
+
+
+def test_L_4_reads_no_theta(monkeypatch):
+    # L_4 reads l_2 off the letters of the cyclically reduced barcode: no
+    # theta call, and a fresh expansion builds no letter table.
+    read = []
+
+    def recording_theta(exp, bc, n):
+        read.append(bc)
+        return _theta(exp, bc, n)
+
+    monkeypatch.setattr("twistcalc.johnson._theta", recording_theta)
+    exp = default_expansion(G, N)
+    L_k(exp, GAMMA2, 4)
+    twist_sum(exp, psi_twist_entries(), 4)
+    assert read == []
+    assert exp._table == {}
+
+
+def theta_2(exp, bc):
+    """theta - 1 of a barcode at truncation 2."""
+    num, den = _theta(exp, bc, 2)
+    del num[()]
+    return Tensor(exp.g, 2, {w: Fraction(c, den) for w, c in num.items()})
+
+
+def perturbed_expansion(g):
+    """default_expansion(g, N) with (2/3) [a_1, b_2] added to every log-value."""
+    exp = default_expansion(g, N)
+    extra = bracket(Tensor(g, N, {(1,): Fraction(2, 3)}), Tensor(g, N, {(g + 2,): 1}))
+    shift = [v + extra for v in exp.log_alpha + exp.log_beta]
+    return SymplecticExpansion(g, N, shift[:g], shift[g:])
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 4])
+def test_letters_l_2_is_theta_2_for_every_expansion(g):
+    # On a null-homologous word l_2 = theta_2 = (1/2) sum_{i<j} [x_i, x_j]:
+    # the letters' degree-2 log-values meet the homology class, which is 0.
+    # So the perturbed expansion, whose letters differ in degree 2, has the
+    # same theta_2 there, and the same L_4 from theta (k = 5) as off the
+    # letters (k = 4).
+    rng = rng_for("letters-l2-%d" % g)
+    barcodes = [random_null_homologous_barcode(rng, g) for _ in range(6)]
+    exps = [default_expansion(g, N)]
+    if g >= 2:
+        barcodes += [cyclic_reduce(e.barcode) for e in psi_twist_entries()]
+        exps.append(perturbed_expansion(g))
+    for bc in barcodes:
+        num, den = _ell2(g, bc)
+        got = Tensor(g, 2, {w: Fraction(c, den) for w, c in num.items()})
+        assert extract(got, 1).is_zero()
+        for exp in exps:
+            assert got == theta_2(exp, bc)
+    if g >= 2:
+        psi = psi_twist_entries()
+        default, perturbed = exps
+        tau2 = twist_sum(default, psi, 4)
+        assert twist_sum(perturbed, psi, 4) == tau2
+        assert twist_sum(perturbed, psi, 5)[:1] == tau2
+        # Negative control: theta_2 of a word off the Johnson kernel does see
+        # the perturbation.
+        for bc in ((1,), (1, 2, -1)):
+            assert theta_2(perturbed, bc) != theta_2(default, bc)
 
 
 def test_fold_takes_no_log_series_through_L_5(exp_g2, monkeypatch):
@@ -275,8 +347,9 @@ def test_L_k_rejects_non_null_homologous(exp_g2):
 @pytest.mark.parametrize("k", [4, 5])
 @pytest.mark.parametrize("bc", [(1,), (1, 2, -1)])
 def test_L_k_and_twist_sum_reject_non_null_homologous(exp_g2, bc, k):
-    # The fold reads the check from log theta's degree-1 part, which is theta's;
-    # in a twist list, a bad last entry raises after good ones.
+    # The fold reads the check from log theta's degree-1 part, which is theta's
+    # for k = 5 and the letters' homology class for k = 4; in a twist list, a
+    # bad last entry raises after good ones.
     message = "barcode is not null-homologous"
     with pytest.raises(DomainError, match=message):
         L_k(exp_g2, bc, k)
